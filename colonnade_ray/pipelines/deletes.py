@@ -182,11 +182,20 @@ def delete_where(out_dir: str, predicate, concurrency=None,
     raise last
 
 
+def _delete_rows(rows: list) -> pa.Table:
+    """Sidecar rows (fragment, chunk_id, n_rows, kind, n_deleted,
+    bitmap) -> their table."""
+    names = ("fragment", "chunk_id", "n_rows", "kind", "n_deleted", "bitmap")
+    types = (pa.string(), pa.string(), pa.int64(), pa.string(), pa.int64(),
+             pa.binary())
+    cols = list(zip(*rows)) if rows else [[] for _ in names]
+    return pa.table({n: pa.array(list(c), t)
+                     for n, c, t in zip(names, cols, types)})
+
+
 def _delete_where_once(out_dir: str, predicate, concurrency=None,
                        exclude_covering: Optional[set] = None) -> dict:
     from ..stages.decode import (
-        chunk_all_match,
-        chunk_may_match,
         decode_chunk_row,
         normalize_predicates,
         predicate_columns,
@@ -194,12 +203,8 @@ def _delete_where_once(out_dir: str, predicate, concurrency=None,
         predicate_mask,
     )
     from ..util import default_concurrency
-    from .encode_pipeline import (
-        _meta_root,
-        _read_encoded,
-        _register_dict_dir,
-        active_groups,
-    )
+    from .chunk_plan import _plan, read_chunks
+    from .encode_pipeline import _meta_root, _register_dict_dir, active_groups
 
     from .concurrency import WriterSession
 
@@ -237,21 +242,22 @@ def _delete_where_once(out_dir: str, predicate, concurrency=None,
     if os.path.exists(marker):
         os.remove(marker)
 
-    enc, cpt = _read_encoded(out_dir, cols, concurrency, predicate=predicate,
-                             groups=groups)
+    # masks are not consulted: stacked deletes OR together, so this
+    # sidecar records every matching row, deleted before or not
+    plan = _plan(out_dir, preds, groups, None)
+    if plan.maybe:
+        keys = {c.key for c in plan.maybe}
+        enc, cpt = read_chunks(out_dir, plan, plan.maybe, cols, concurrency)
 
-    def part(batch: pa.Table) -> pa.Table:
-        _register_dict_dir(out_dir)
-        frags, cids, nrows, kinds, ndel, bitmaps = [], [], [], [], [], []
-        names = batch.column_names
-        for r in range(len(batch)):
-            sj = batch["stats_json"][r].as_py()
-            if not all(chunk_may_match(sj, p) for p in preds):
-                continue
-            n = int(batch["n_rows"][r].as_py())
-            if all(chunk_all_match(sj, p) for p in preds):
-                kind, nd, bm = "all", n, b""
-            else:
+        def part(batch: pa.Table) -> pa.Table:
+            _register_dict_dir(out_dir)
+            out = []
+            names = batch.column_names
+            for r in range(len(batch)):
+                key = (batch["fragment"][r].as_py(),
+                       batch["chunk_id"][r].as_py())
+                if key not in keys:
+                    continue
                 row = {c: batch[c][r].as_py() for c in names}
                 t = decode_chunk_row(row, verify_checksum=False,
                                      columns=cols)
@@ -267,50 +273,25 @@ def _delete_where_once(out_dir: str, predicate, concurrency=None,
                 nd = int(m.sum())
                 if nd == 0:
                     continue
-                if nd == t.num_rows:
-                    kind, bm = "all", b""
-                else:
-                    kind, bm = "bitmap", np.packbits(m).tobytes()
-            frags.append(batch["fragment"][r].as_py())
-            cids.append(batch["chunk_id"][r].as_py())
-            nrows.append(n)
-            kinds.append(kind)
-            ndel.append(nd)
-            bitmaps.append(bm)
-        return pa.table({
-            "fragment": pa.array(frags, pa.string()),
-            "chunk_id": pa.array(cids, pa.string()),
-            "n_rows": pa.array(nrows, pa.int64()),
-            "kind": pa.array(kinds, pa.string()),
-            "n_deleted": pa.array(ndel, pa.int64()),
-            "bitmap": pa.array(bitmaps, pa.binary()),
-        })
+                kind, bm = ("all", b"") if nd == t.num_rows \
+                    else ("bitmap", np.packbits(m).tobytes())
+                out.append((*key, t.num_rows, kind, nd, bm))
+            return _delete_rows(out)
 
-    if enc.count() == 0:
-        rows = pa.table({
-            "fragment": pa.array([], pa.string()),
-            "chunk_id": pa.array([], pa.string()),
-            "n_rows": pa.array([], pa.int64()),
-            "kind": pa.array([], pa.string()),
-            "n_deleted": pa.array([], pa.int64()),
-            "bitmap": pa.array([], pa.binary()),
-        })
-        chunks, rows_deleted = 0, 0
-        os.makedirs(ddir, exist_ok=True)
-        pq.write_table(rows, os.path.join(ddir, "part-0.parquet"),
-                       compression="zstd")
-    else:
-        dels = enc.map_batches(
+        os.makedirs(root, exist_ok=True)
+        enc.map_batches(
             part, batch_format="pyarrow", batch_size=max(1, cpt),
             zero_copy_batch=True,
             concurrency=concurrency or default_concurrency(),
-        )
-        os.makedirs(root, exist_ok=True)
-        dels.write_parquet(ddir, compression="zstd")
-        t = pq.read_table(ddir, columns=["n_deleted"])
-        chunks = t.num_rows
-        rows_deleted = int(
-            sum(t["n_deleted"].to_pylist())) if chunks else 0
+        ).write_parquet(ddir, compression="zstd")
+    # proven chunks: every row matches -> a 0-byte "all" marker
+    os.makedirs(ddir, exist_ok=True)
+    pq.write_table(_delete_rows([(c.fragment, c.chunk_id, c.n_rows, "all",
+                                  c.n_rows, b"") for c in plan.proven]),
+                   os.path.join(ddir, "part-0.parquet"), compression="zstd")
+    t = pq.read_table(ddir, columns=["n_deleted"])
+    chunks = t.num_rows
+    rows_deleted = int(sum(t["n_deleted"].to_pylist())) if chunks else 0
     tmp = marker + ".tmp"
     with open(tmp, "w") as f:
         json.dump({

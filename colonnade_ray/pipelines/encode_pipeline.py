@@ -810,7 +810,7 @@ def sketch_cols(out_dir: str) -> dict:
 
 
 _LIN_CACHE: dict = {}
-_LIN_CACHE_CAP = int(os.environ.get("COLONNADE_LINEAGE_CACHE", "1024"))
+_LIN_CACHE_CAP = 1024
 
 
 def lineage_table(out_dir: str, gid: str) -> pa.Table:
@@ -822,8 +822,8 @@ def lineage_table(out_dir: str, gid: str) -> pa.Table:
     crash/rewrite-safe for free: markers only ever change by
     tmp+rename (new mtime/size => miss) or by gc removal (stat raises
     => the caller's existence check already skipped it).  LRU-bounded
-    (COLONNADE_LINEAGE_CACHE entries, default 1024) so a 1e5-group
-    corpus doesn't pin every manifest in driver heap."""
+    (1024 entries) so a 1e5-group corpus doesn't pin every manifest in
+    driver heap."""
     path = os.path.join(out_dir, "_lineage", f"group-{gid}.parquet")
     st = os.stat(path)
     key = (os.path.realpath(path), st.st_mtime_ns, st.st_size)
@@ -836,13 +836,6 @@ def lineage_table(out_dir: str, gid: str) -> pa.Table:
     while len(_LIN_CACHE) > _LIN_CACHE_CAP:
         _LIN_CACHE.pop(next(iter(_LIN_CACHE)))
     return t
-
-
-def _lin_of(lin_root: str, gid: str) -> pa.Table:
-    """lineage_table addressed by the _lineage dir (call-site shape)."""
-    return lineage_table(os.path.dirname(lin_root), gid) \
-        if os.path.basename(lin_root) == "_lineage" else pq.read_table(
-            os.path.join(lin_root, f"group-{gid}.parquet"))
 
 
 def _meta_root(out_dir: str) -> str:
@@ -1224,55 +1217,58 @@ def decode_corpus(out_dir: str, verify_checksum: bool = True, concurrency=None,
     storage: the plan is read from the lineage manifest and only the
     selected ``colN_payload``/``colN_meta`` parquet columns are read —
     untouched payload streams never leave disk.  ``predicate`` prunes
-    whole chunks by their lineage zone maps before exact filtering;
-    predicate columns outside the projection still decode for the
-    exact filter (their payloads join the storage read) and are
-    dropped from the result.
+    whole groups and chunks by the chunk planner before exact
+    filtering; predicate columns outside the projection still decode
+    for the exact filter (their payloads join the storage read) and
+    are dropped from the result.
     """
+    return _decode_scoped(out_dir, None, verify_checksum, concurrency,
+                          columns, predicate)
+
+
+def _decode_scoped(out_dir: str, snapshot: Optional[str], verify_checksum,
+                   concurrency, columns, predicate):
+    """decode_corpus, live or as of a snapshot: with a predicate, only
+    the groups and chunks the planner leaves are read."""
     from ..stages.decode import normalize_predicates, predicate_columns
 
-    read_cols = columns
-    if columns is not None and predicate is not None:
-        read_cols = list(dict.fromkeys(
-            list(columns)
-            + predicate_columns(normalize_predicates(predicate))))
-    enc, cpt = _read_encoded(out_dir, read_cols, concurrency,
-                             predicate=predicate)
+    preds = normalize_predicates(predicate)
+    if preds:
+        from .chunk_plan import plan_chunks, read_chunks
+
+        read_cols = columns if columns is None else list(dict.fromkeys(
+            list(columns) + predicate_columns(preds)))
+        plan = plan_chunks(out_dir, preds, snapshot)
+        enc, cpt = read_chunks(out_dir, plan, plan.proven + plan.maybe,
+                               read_cols, concurrency)
+        deletes_dir = plan.deletes_dir
+    else:
+        groups, deletes_dir = _scope(out_dir, snapshot)
+        enc, cpt = _read_encoded(out_dir, columns, concurrency, groups=groups)
     return decode_dataset(enc, verify_checksum=verify_checksum,
                           concurrency=concurrency, columns=columns,
                           predicate=predicate, chunks_per_task=cpt,
-                          dict_dirs=[out_dir],
-                          deletes_dir=_deletes_dir_of(out_dir))
+                          dict_dirs=[out_dir], deletes_dir=deletes_dir)
 
 
 _CHUNK_FILTER_CAP = 20_000
 
 
 def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
-                  concurrency=None, predicate: Optional[tuple] = None,
-                  groups: Optional[Sequence[str]] = None,
+                  concurrency=None, groups: Optional[Sequence[str]] = None,
                   chunk_ids: Optional[set] = None):
     """Committed-group encoded chunk rows as a Dataset, plus the
-    lineage-derived chunks-per-task sizing.  Shared by decode_corpus
-    and the fused digest path.
-
-    ``predicate`` enables GROUP-level pruning: the lineage manifest
-    (small) carries every chunk's zone maps, so a group in which no
-    chunk can match is dropped from the read list entirely — its
-    payload bytes never leave storage (a time- or source-partitioned
-    corpus typically kills whole groups, not just chunks).
+    lineage-derived chunks-per-task sizing.  Shared by decode_corpus,
+    the fused digest path and the chunk planner's scan.
 
     ``groups`` names the exact COMMITTED group ids to read instead of
-    the active set: ``merge_rows`` passes an active subset to scope
-    its key-delete away from the group it just appended, and
-    ``decode_snapshot`` passes a pinned set that may include groups a
-    later rewrite superseded (still on disk, shadowed).  Ids whose
-    lineage marker is gone are skipped."""
+    the active set: the planner passes the groups holding candidate
+    chunks, and a snapshot's pinned set may include groups a later
+    rewrite superseded (still on disk, shadowed).  Ids whose lineage
+    marker is gone are skipped.  ``chunk_ids`` restricts the read to
+    those chunks' parquet row groups."""
     import ray.data as rd
 
-    from ..stages.decode import chunk_may_match, normalize_predicates
-
-    preds = normalize_predicates(predicate)
     data_root = os.path.join(out_dir, "data")
     lin_root = os.path.join(out_dir, "_lineage")
     group_files: dict = {}
@@ -1280,21 +1276,7 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
         g for g in groups
         if os.path.exists(os.path.join(lin_root, f"group-{g}.parquet"))
     ]
-    pred_cids: Optional[set] = set() if (preds and chunk_ids is None) else None
     for gid in scoped:
-        if preds:
-            lt = _lin_of(lin_root, gid)
-            sj = lt["stats_json"].to_pylist()
-            may = [all(chunk_may_match(s, p) for p in preds) for s in sj]
-            if not any(may):
-                continue  # zone maps prove: nothing in this group
-            if pred_cids is not None:
-                # chunk-level candidates for the ROW-GROUP filter below
-                # (the data files hold one chunk per parquet row group,
-                # so a chunk_id filter skips non-candidate payload IO,
-                # not just their decode)
-                cids = lt["chunk_id"].to_pylist()
-                pred_cids.update(c for c, m in zip(cids, may) if m)
         gdir = os.path.join(data_root, f"group-{gid}")
         fs = [
             os.path.join(gdir, f) for f in sorted(os.listdir(gdir)) if f.endswith(".parquet")
@@ -1308,11 +1290,9 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
     files = [f for fs in group_files.values() for f in fs]
     if not files:
         if active_groups(out_dir):
-            # every group zone-pruned away — or vacuumed to zero rows:
-            # a valid empty result, not an error
-            import ray.data as _rd
-
-            return _rd.from_items([]), 1
+            # every group pruned away — or vacuumed to zero rows: a
+            # valid empty result, not an error
+            return rd.from_items([]), 1
         raise FileNotFoundError(f"no committed encode groups under {out_dir}")
     # Size chunks-per-task from the lineage chunk count: keep every
     # core busy (4 task waves per core) but never one task per chunk
@@ -1326,7 +1306,7 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
     n_chunks = 0
     total_tokens = 0
     for gid in group_files:
-        lin = _lin_of(lin_root, gid)  # manifest-sized, cached, not data
+        lin = lineage_table(out_dir, gid)  # manifest-sized, cached
         n_chunks += lin.num_rows
         total_tokens += int(pc.sum(lin["n_tokens"]).as_py() or 0)
     eff = concurrency if concurrency is not None else default_concurrency()
@@ -1347,10 +1327,9 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
     # sketch fallbacks read bytes proportional to CANDIDATES, not to
     # the surviving groups.  Capped — a huge isin list costs more to
     # evaluate per row group than the reads it saves.
-    ids = chunk_ids if chunk_ids is not None else pred_cids
     flt = None
-    if ids is not None and 0 < len(ids) <= _CHUNK_FILTER_CAP:
-        flt = pc.field("chunk_id").isin(sorted(ids))
+    if chunk_ids is not None and 0 < len(chunk_ids) <= _CHUNK_FILTER_CAP:
+        flt = pc.field("chunk_id").isin(sorted(chunk_ids))
     fkw = {"filter": flt} if flt is not None else {}
     if columns is None:
         enc = rd.read_parquet(files, override_num_blocks=nblocks, **fkw)
@@ -1361,7 +1340,7 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
         # for the rest.  Groups sharing a projection list are read
         # together; differing plans get their own read, unioned.
         def _proj(gid: str) -> tuple:
-            lt = _lin_of(lin_root, gid)
+            lt = lineage_table(out_dir, gid)
             plan = json.loads(lt["plan_json"][0].as_py())
             missing = set(columns) - set(plan)
             if missing:
@@ -1456,67 +1435,27 @@ def count_where(out_dir: str, predicate, concurrency=None,
     """COUNT(*) pushdown over the encoded corpus: chunks whose zone
     map proves NO row matches cost nothing, chunks proven ALL-match
     (min/max band inside the predicate + proven-zero null count, the
-    `__nulls__` stats entry) contribute n_rows with ZERO payload
-    decode, and only boundary chunks decode — and then only the
-    predicate columns.  The aggregate answer ("how many docs pass
+    `__nulls__` stats entry) contribute their live n_rows with ZERO
+    payload decode, and only boundary chunks decode — and then only
+    the predicate columns.  The aggregate answer ("how many docs pass
     this gate") never materializes a row.  ``snapshot=`` answers as
     of a named snapshot (pipelines/snapshots.py) instead of live."""
-    from ..stages.decode import (
-        _exact_filter,
-        chunk_all_match,
-        chunk_may_match,
-        decode_chunk_row,
-        normalize_predicates,
-        predicate_columns,
-    )
-    from ..util import default_concurrency
+    from ..stages.decode import normalize_predicates
+    from .chunk_plan import plan_chunks, scan_chunks
 
-    preds = normalize_predicates(predicate)
-    if not preds:
+    if not normalize_predicates(predicate):
         raise ValueError("count_where needs at least one predicate; "
                          "use corpus_summary()['rows'] for the total")
-    cols = sorted(predicate_columns(preds))
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    enc, cpt = _read_encoded(out_dir, cols, concurrency,
-                             predicate=predicate, groups=scope_groups)
-
-    def part(batch: pa.Table) -> pa.Table:
-        _register_dict_dir(out_dir)
-        del_masks = {}
-        if deletes_dir is not None:
-            from .deletes import load_delete_masks
-
-            del_masks = load_delete_masks(deletes_dir)
-        total = 0
-        names = batch.column_names
-        for r in range(len(batch)):
-            sj = batch["stats_json"][r].as_py()
-            if not all(chunk_may_match(sj, p) for p in preds):
-                continue
-            dmask = del_masks.get((batch["fragment"][r].as_py(),
-                                   batch["chunk_id"][r].as_py())) \
-                if del_masks else None
-            if isinstance(dmask, str):
-                continue  # whole chunk deleted
-            if all(chunk_all_match(sj, p) for p in preds):
-                # every row matches -> deleting d leaves n - d matches:
-                # the metadata fast path stays EXACT under deletions
-                total += int(batch["n_rows"][r].as_py()) - (
-                    int(dmask.sum()) if dmask is not None else 0)
-                continue
-            row = {c: batch[c][r].as_py() for c in names}
-            t = decode_chunk_row(row, verify_checksum=False, columns=cols)
-            if dmask is not None:
-                t = t.filter(pa.array(~dmask))
-            for p in preds:
-                t = _exact_filter(t, p)
-            total += t.num_rows
-        return pa.table({"c": pa.array([total], pa.int64())})
-
-    ds = enc.map_batches(part, batch_format="pyarrow",
-                         batch_size=max(1, cpt), zero_copy_batch=True,
-                         concurrency=concurrency or default_concurrency())
-    return int(ds.sum("c") or 0)
+    plan = plan_chunks(out_dir, predicate, snapshot)
+    # every row matches -> deleting d leaves n - d matches: the
+    # metadata answer stays EXACT under deletions
+    total = sum(c.n_live for c in plan.proven)
+    if plan.maybe:
+        ds = scan_chunks(out_dir, plan, plan.maybe, [], lambda ts: pa.table(
+            {"c": pa.array([sum(t.num_rows for t in ts)], pa.int64())}),
+            concurrency)
+        total += int(ds.sum("c") or 0)
+    return total
 
 
 def aggregate_where(out_dir: str, agg: str, col: str,
@@ -1538,94 +1477,45 @@ def aggregate_where(out_dir: str, agg: str, col: str,
     or float chunks fall back to decode).  Returns None on an empty
     match set.  SQL null semantics throughout (aggregates skip
     nulls).  ``snapshot=`` answers as of a named snapshot."""
-    import pyarrow.compute as pc2
-
-    from ..stages.decode import (
-        _exact_filter,
-        chunk_all_match,
-        chunk_may_match,
-        decode_chunk_row,
-        normalize_predicates,
-        predicate_columns,
-    )
-    from ..util import default_concurrency
+    from .chunk_plan import plan_chunks, scan_chunks
 
     if agg not in ("min", "max", "sum"):
         raise ValueError(f"unsupported agg {agg!r}")
-    preds = normalize_predicates(predicate)
-    cols = sorted(set(predicate_columns(preds)) | {col})
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    enc, cpt = _read_encoded(out_dir, cols, concurrency,
-                             predicate=predicate, groups=scope_groups)
+    plan = plan_chunks(out_dir, predicate, snapshot)
 
     def _meta_answer(stats: dict):
         """Metadata answer for a chunk where ALL rows are in scope, or
         None when this chunk must decode."""
         if col not in stats:
             return None
+        if agg == "sum":
+            if plan.preds and stats.get("__nulls__", {}).get(col):
+                return None  # a null row may sit inside the band
+            return stats.get("__sums__", {}).get(col)  # None: decode
         lo, hi = stats[col]
-        if agg == "min":
-            return lo
-        if agg == "max":
-            return hi
-        s = stats.get("__sums__", {}).get(col)
-        return s  # None -> decode (old format / non-integer column)
+        return lo if agg == "min" else hi
 
-    def part(batch: pa.Table) -> pa.Table:
-        _register_dict_dir(out_dir)
-        import json as _json
+    vals, scan = [], list(plan.maybe)
+    for c in plan.proven:
+        # a chunk with ANY deleted rows can't answer from metadata:
+        # its zone bounds / __sums__ include the deleted rows
+        a = _meta_answer(c.stats) if c.dmask is None else None
+        if a is None:
+            scan.append(c)
+        else:
+            vals.append(a)
+    if scan:
+        fn = {"min": pc.min, "max": pc.max, "sum": pc.sum}[agg]
 
-        del_masks = {}
-        if deletes_dir is not None:
-            from .deletes import load_delete_masks
+        def fold(ts) -> pa.Table:
+            # per-chunk partials travel as JSON strings: int sums stay
+            # exact (no float64 round-trip past 2^53)
+            vs = [fn(t[col]).as_py() for t in ts]
+            return pa.table({"v": pa.array(
+                [json.dumps(v) for v in vs if v is not None], pa.string())})
 
-            del_masks = load_delete_masks(deletes_dir)
-        vals = []
-        names = batch.column_names
-        for r in range(len(batch)):
-            sj = batch["stats_json"][r].as_py()
-            if preds and not all(chunk_may_match(sj, p) for p in preds):
-                continue
-            dmask = del_masks.get((batch["fragment"][r].as_py(),
-                                   batch["chunk_id"][r].as_py())) \
-                if del_masks else None
-            if isinstance(dmask, str):
-                continue  # whole chunk deleted
-            proven = dmask is None and ((not preds) or all(
-                chunk_all_match(sj, p) for p in preds))
-            # a chunk with ANY deleted rows can't answer from metadata:
-            # its zone bounds / __sums__ include the deleted rows
-            if proven and sj:
-                stats = _json.loads(sj)
-                if preds and agg == "sum" and \
-                        stats.get("__nulls__", {}).get(col):
-                    stats = None  # a null row may sit inside the band
-                if stats is not None:
-                    a = _meta_answer(stats)
-                    if a is not None:
-                        vals.append(a)
-                        continue
-            row = {c: batch[c][r].as_py() for c in names}
-            t = decode_chunk_row(row, verify_checksum=False, columns=cols)
-            if dmask is not None:
-                t = t.filter(pa.array(~dmask))
-            for p in preds:
-                t = _exact_filter(t, p)
-            if t.num_rows:
-                fn = {"min": pc2.min, "max": pc2.max, "sum": pc2.sum}[agg]
-                v = fn(t[col]).as_py()
-                if v is not None:
-                    vals.append(v)
-        # per-chunk partials travel as JSON strings: int sums stay
-        # exact (no float64 round-trip past 2^53)
-        return pa.table({"v": pa.array([_json.dumps(x) for x in vals],
-                                       pa.string())})
-
-    ds = enc.map_batches(part, batch_format="pyarrow",
-                         batch_size=max(1, cpt), zero_copy_batch=True,
-                         concurrency=concurrency or default_concurrency())
-    rows = ds.take_all()
-    vals = [json.loads(r["v"]) for r in rows]
+        vals += [json.loads(r["v"]) for r in scan_chunks(
+            out_dir, plan, scan, [col], fold, concurrency).take_all()]
     if not vals:
         return None
     if agg == "min":
@@ -1689,89 +1579,54 @@ def topk_where(out_dir: str, col: str, k: int = 10,
     """ORDER BY col LIMIT k pushdown over the encoded corpus: only
     chunks whose zone band can still reach the top-k decode.
 
-    Two phases.  Phase 1 is metadata-only, over the lineage manifests
-    (chunk-count rows of JSON stats — KBs per group, never payload):
-    sort chunks by their zone *min* (descending order; *max* when
+    Two phases.  Phase 1 is metadata-only, over the chunk plan
+    (chunk-count rows of stats — KBs per group, never payload): sort
+    chunks by their zone *min* (descending order; *max* when
     ascending), accumulate live non-null rows until ≥ k — every one
     of those rows is ≥ the last accumulated chunk's min, so that min
-    is a valid bound T on the k-th value.  Phase 2 reads only the
-    groups holding a chunk whose *max* ≥ T, decodes only those
-    chunks, and only ``col`` + ``tie_cols`` + ``columns``; each task
-    emits a local top-k partial and the ≤ k × tasks survivor rows
-    merge on the driver.  Ties at rank k resolve by ``tie_cols``
-    (pass them for deterministic output).  Rows with a null ``col``
-    never rank (SQL NULLS LAST ∩ LIMIT semantics).  ``predicate``
-    AND-filters rows before ranking (zone-pruned like count_where).
-    ``snapshot=`` answers as of a named snapshot."""
-    from ..stages.decode import (
-        _exact_filter,
-        chunk_all_match,
-        chunk_may_match,
-        decode_chunk_row,
-        normalize_predicates,
-        predicate_columns,
-    )
-    from ..util import default_concurrency
+    is a valid bound T on the k-th value.  Phase 2 decodes only the
+    chunks whose *max* ≥ T, and only ``col`` + ``tie_cols`` +
+    ``columns``; each task emits a local top-k partial and the ≤ k ×
+    tasks survivor rows merge on the driver.  Ties at rank k resolve
+    by ``tie_cols`` (pass them for deterministic output).  Rows with a
+    null ``col`` never rank (SQL NULLS LAST ∩ LIMIT semantics).
+    ``predicate`` AND-filters rows before ranking (zone-pruned like
+    count_where).  ``snapshot=`` answers as of a named snapshot."""
+    from .chunk_plan import plan_chunks, scan_chunks
 
-    preds = normalize_predicates(predicate) if predicate is not None else []
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    lin_root = os.path.join(out_dir, "_lineage")
-    gids = active_groups(out_dir) if scope_groups is None else [
-        g for g in scope_groups
-        if os.path.exists(os.path.join(lin_root, f"group-{g}.parquet"))
-    ]
-    del_masks = {}
-    if deletes_dir is not None:
-        from .deletes import load_delete_masks
-
-        del_masks = load_delete_masks(deletes_dir)
-
+    plan = plan_chunks(out_dir, predicate, snapshot)
+    out_cols = list(dict.fromkeys([col, *tie_cols, *(columns or [])]))
     # phase 1: bound T on the k-th value from zone bands alone
-    cands = []  # (near_bound, far_bound, n_live_nonnull, gid)
-    for gid in gids:
-        lin = _lin_of(lin_root, gid)
-        for sj, n, frag, cid in zip(lin["stats_json"].to_pylist(),
-                                    lin["n_rows"].to_pylist(),
-                                    lin["fragment"].to_pylist(),
-                                    lin["chunk_id"].to_pylist()):
-            if preds and not all(chunk_may_match(sj, p) for p in preds):
-                continue
-            stats = json.loads(sj) if sj else {}
-            band = stats.get(col)
-            dmask = del_masks.get((frag, cid))
-            if isinstance(dmask, str):
-                continue  # whole chunk deleted
-            n_live = int(n) - (int(dmask.sum()) if dmask is not None else 0)
+    cands = []  # (far_bound, near_bound, n_live_nonnull, chunk)
+    for proven, chunks in ((True, plan.proven), (False, plan.maybe)):
+        for c in chunks:
+            n_live = c.n_live
             if n_live <= 0:
                 continue
+            band = c.stats.get(col)
             if band is None:
                 # no zone band (old format): must always decode
-                cands.append((None, None, 0, gid, cid))
+                cands.append((None, None, 0, c))
                 continue
             # unknown null count: contribute 0 to the accumulation
             # (conservative — keeps T a true lower bound); the chunk
-            # still decodes if its band reaches T.  Under a predicate
-            # only PROVEN all-match chunks may contribute — a
-            # may-match chunk's rows aren't guaranteed to survive the
-            # filter, so counting them would overstate acc and push T
-            # past the true k-th passing value.
-            nt = stats.get("__nulls__")
-            # a column absent from a present __nulls__ table has zero
-            # nulls (decode.py convention); a missing table entirely is
-            # the pre-__nulls__ format — unprovable, contribute 0
+            # still decodes if its band reaches T.  Only PROVEN chunks
+            # may contribute — a may-match chunk's rows aren't
+            # guaranteed to survive the filter, so counting them would
+            # overstate acc and push T past the true k-th passing
+            # value.  A column absent from a present __nulls__ table
+            # has zero nulls (decode.py convention).
+            nt = c.stats.get("__nulls__")
             n_nonnull = max(0, n_live - int(nt.get(col, 0))) \
-                if nt is not None else 0
-            if preds and not all(chunk_all_match(sj, p) for p in preds):
-                n_nonnull = 0
+                if proven and nt is not None else 0
             lo, hi = band
             near, far = (hi, lo) if descending else (lo, hi)
-            cands.append((far, near, n_nonnull, gid, cid))
+            cands.append((far, near, n_nonnull, c))
     if not cands:
-        base = list(dict.fromkeys([col, *tie_cols, *(columns or [])]))
-        empty = _typed_empty(out_dir, base)
+        empty = _typed_empty(out_dir, out_cols)
         if return_stats:
             return empty, {"chunks_total": 0, "chunks_candidate": 0,
-                           "groups_total": len(gids),
+                           "groups_total": len(plan.groups),
                            "groups_candidate": 0, "threshold": None}
         return empty
 
@@ -1779,7 +1634,7 @@ def topk_where(out_dir: str, col: str, k: int = 10,
                     key=lambda c: c[0], reverse=descending)
     T = None
     acc = 0
-    for far, _near, nn, _g, _cid in banded:
+    for far, _near, nn, _c in banded:
         acc += nn
         if acc >= k:
             T = far  # k rows each ≥ (≤) this chunk's far bound
@@ -1790,66 +1645,26 @@ def topk_where(out_dir: str, col: str, k: int = 10,
             return True  # bandless chunk / no bound provable: decode
         return (c[1] >= T) if descending else (c[1] <= T)
 
-    reaching = [c for c in cands if reaches(c)]
-    cand_groups = sorted({c[3] for c in reaching})
-    cand_cids = {c[4] for c in reaching}
+    reaching = [c[3] for c in cands if reaches(c)]
     stats_out = {"chunks_total": len(cands),
                  "chunks_candidate": len(reaching),
-                 "groups_total": len(gids),
-                 "groups_candidate": len(cand_groups), "threshold": T}
-    out_cols = list(dict.fromkeys([col, *tie_cols, *(columns or [])]))
-    # predicate columns must decode too (filtered out before project)
-    dec_cols = list(dict.fromkeys(out_cols + predicate_columns(preds)))
-    enc, cpt = _read_encoded(out_dir, dec_cols, concurrency,
-                             groups=cand_groups, chunk_ids=cand_cids)
+                 "groups_total": len(plan.groups),
+                 "groups_candidate": len({c.gid for c in reaching}),
+                 "threshold": T}
+    order = [(col, "descending" if descending else "ascending")] + [
+        (c, "ascending") for c in tie_cols
+    ]
     empty_block = _typed_empty(out_dir, out_cols)
 
-    def part(batch: pa.Table) -> pa.Table:
-        _register_dict_dir(out_dir)
-        dm = {}
-        if deletes_dir is not None:
-            from .deletes import load_delete_masks as _ldm
-
-            dm = _ldm(deletes_dir)
-        names = batch.column_names
-        parts = []
-        for r in range(len(batch)):
-            sj = batch["stats_json"][r].as_py()
-            if preds and not all(chunk_may_match(sj, p) for p in preds):
-                continue
-            stats = json.loads(sj) if sj else {}
-            band = stats.get(col)
-            if band is not None and T is not None:
-                near = band[1] if descending else band[0]
-                if (near < T) if descending else (near > T):
-                    continue  # zone band proves: below the k-th value
-            dmask = dm.get((batch["fragment"][r].as_py(),
-                            batch["chunk_id"][r].as_py())) if dm else None
-            if isinstance(dmask, str):
-                continue
-            row = {c: batch[c][r].as_py() for c in names}
-            t = decode_chunk_row(row, verify_checksum=False,
-                                 columns=dec_cols)
-            if dmask is not None:
-                t = t.filter(pa.array(~dmask))
-            for p in preds:
-                t = _exact_filter(t, p)
-            t = t.filter(pc.is_valid(t[col]))
-            if t.num_rows:
-                parts.append(t.select(out_cols))
+    def fold(ts) -> pa.Table:
+        parts = [t.filter(pc.is_valid(t[col])).select(out_cols) for t in ts]
+        parts = [t for t in parts if t.num_rows]
         if not parts:
             return empty_block
         t = pa.concat_tables(parts)
-        order = [(col, "descending" if descending else "ascending")] + [
-            (c, "ascending") for c in tie_cols
-        ]
         return t.take(pc.sort_indices(t, sort_keys=order)[:k])
 
-    ds = enc.map_batches(
-        part, batch_format="pyarrow", batch_size=max(1, cpt),
-        zero_copy_batch=True,
-        concurrency=concurrency or default_concurrency(),
-    )
+    ds = scan_chunks(out_dir, plan, reaching, out_cols, fold, concurrency)
     # ≤ k rows per decode task survive; merge them Arrow-native so
     # dtypes round-trip exactly (take_all's dict rows would re-infer)
     blocks = [b for b in ds.iter_batches(batch_format="pyarrow",
@@ -1859,9 +1674,6 @@ def topk_where(out_dir: str, col: str, k: int = 10,
         empty = _typed_empty(out_dir, out_cols)
         return (empty, stats_out) if return_stats else empty
     merged = pa.concat_tables(blocks, promote_options="default")
-    order = [(col, "descending" if descending else "ascending")] + [
-        (c, "ascending") for c in tie_cols
-    ]
     res = merged.take(pc.sort_indices(merged, sort_keys=order)[:k])
     return (res, stats_out) if return_stats else res
 
@@ -1893,105 +1705,55 @@ def approx_distinct(out_dir: str, col: str, predicate=None,
         hll_estimate,
         hll_registers,
     )
-    from ..stages.decode import (
-        _exact_filter,
-        chunk_all_match,
-        chunk_may_match,
-        decode_chunk_row,
-        normalize_predicates,
-        predicate_columns,
-    )
-    from ..util import default_concurrency
+    from .chunk_plan import plan_chunks, scan_chunks
 
-    preds = normalize_predicates(predicate) if predicate is not None else []
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    lin_root = os.path.join(out_dir, "_lineage")
-    gids = active_groups(out_dir) if scope_groups is None else [
-        g for g in scope_groups
-        if os.path.exists(os.path.join(lin_root, f"group-{g}.parquet"))
-    ]
-    del_masks = {}
-    if deletes_dir is not None:
-        from .deletes import load_delete_masks
-
-        del_masks = load_delete_masks(deletes_dir)
-
+    plan = plan_chunks(out_dir, predicate, snapshot)
     regs = np.zeros(1 << HLL_P, dtype=np.uint8)
-    scan_keys = set()   # (fragment, chunk_id) needing a decode
-    scan_groups = set()
-    n_sketched = n_total = 0
-    for gid in gids:
-        lin = _lin_of(lin_root, gid)
-        for sj, frag, cid in zip(lin["stats_json"].to_pylist(),
-                                 lin["fragment"].to_pylist(),
-                                 lin["chunk_id"].to_pylist()):
-            if preds and not all(chunk_may_match(sj, p) for p in preds):
-                continue
-            n_total += 1
-            dmask = del_masks.get((frag, cid))
-            if isinstance(dmask, str):
-                n_total -= 1
-                continue  # whole chunk deleted
-            stats = json.loads(sj) if sj else {}
-            he = stats.get("__hll__", {}).get(col)
-            usable = (he is not None and he.get("p") == HLL_P
-                      and dmask is None
-                      and (not preds
-                           or all(chunk_all_match(sj, p) for p in preds)))
-            if usable:
-                regs = np.maximum(regs, hll_registers(he))
-                n_sketched += 1
-            else:
-                scan_keys.add((frag, cid))
-                scan_groups.add(gid)
+    scan = list(plan.maybe)
+    for c in plan.proven:
+        he = c.stats.get("__hll__", {}).get(col)
+        if he is not None and he.get("p") == HLL_P and c.dmask is None:
+            regs = np.maximum(regs, hll_registers(he))
+        else:
+            scan.append(c)
+    n_sketched = len(plan.proven) + len(plan.maybe) - len(scan)
 
-    if scan_keys:
-        dec_cols = list(dict.fromkeys([col] + predicate_columns(preds)))
-        enc, cpt = _read_encoded(out_dir, dec_cols, concurrency,
-                                 groups=sorted(scan_groups),
-                                 chunk_ids={c for _f, c in scan_keys})
-
-        def part(batch: pa.Table) -> pa.Table:
-            _register_dict_dir(out_dir)
-            dm = {}
-            if deletes_dir is not None:
-                from .deletes import load_delete_masks as _ldm
-
-                dm = _ldm(deletes_dir)
+    if scan:
+        def fold(ts) -> pa.Table:
             r = np.zeros(1 << HLL_P, dtype=np.uint8)
-            names = batch.column_names
-            for i in range(len(batch)):
-                key = (batch["fragment"][i].as_py(),
-                       batch["chunk_id"][i].as_py())
-                if key not in scan_keys:
-                    continue
-                dmask = dm.get(key) if dm else None
-                if isinstance(dmask, str):
-                    continue
-                row = {c: batch[c][i].as_py() for c in names}
-                t = decode_chunk_row(row, verify_checksum=False,
-                                     columns=dec_cols)
-                if dmask is not None:
-                    t = t.filter(pa.array(~dmask))
-                for p in preds:
-                    t = _exact_filter(t, p)
-                if t.num_rows:
-                    r = hash_into_hll(t[col], r)
+            for t in ts:
+                r = hash_into_hll(t[col], r)
             return pa.table({"regs": pa.array(
                 [base64.b64encode(r.tobytes()).decode()])})
 
-        for d in enc.map_batches(
-                part, batch_format="pyarrow", batch_size=max(1, cpt),
-                zero_copy_batch=True,
-                concurrency=concurrency or default_concurrency()).take_all():
+        for d in scan_chunks(out_dir, plan, scan, [col], fold,
+                             concurrency).take_all():
             regs = np.maximum(regs, np.frombuffer(
                 base64.b64decode(d["regs"]), dtype=np.uint8))
 
     est = float(hll_estimate(regs))
     if return_stats:
-        return est, {"chunks_total": n_total, "chunks_sketched": n_sketched,
-                     "chunks_scanned": len(scan_keys)}
+        return est, {"chunks_total": len(plan.proven) + len(plan.maybe),
+                     "chunks_sketched": n_sketched,
+                     "chunks_scanned": len({c.key for c in scan})}
     return est
+
+
+def _quant_grid(qe: dict) -> tuple:
+    """A stored ``__quant__`` entry -> (int64 grid, weight per point)."""
+    import numpy as np
+
+    s = np.asarray(qe["s"], dtype=np.int64)
+    return s, qe["n"] / len(s)
+
+
+def _require_int_column(out_dir: str, col: str) -> None:
+    """Quantile grids exist for integer columns only; a float column
+    would be truncated by the int64 merge, so it is refused."""
+    t = corpus_column_types(out_dir).get(col)
+    if t is not None and not pa.types.is_integer(t):
+        raise ValueError(
+            f"approx quantiles need an integer column; {col!r} is {t}")
 
 
 def approx_quantiles(out_dir: str, col: str, qs=(0.25, 0.5, 0.75),
@@ -2015,115 +1777,48 @@ def approx_quantiles(out_dir: str, col: str, qs=(0.25, 0.5, 0.75),
     delete-masked rows, or only may-matching ``predicate`` fall back
     to decoding ``col`` for just those chunks (exact values, weight
     1).  Rows with null ``col`` never contribute (SQL aggregate
-    semantics).  Returns [value per q] (None entries when no rows
-    qualify); ``snapshot=`` answers as of a named snapshot."""
+    semantics).  A non-integer ``col`` raises ValueError.  Returns
+    [value per q] (None entries when no rows qualify); ``snapshot=``
+    answers as of a named snapshot."""
     import numpy as np
 
     from ..stages.bloomzone import merge_quant_grids
-    from ..stages.decode import (
-        _exact_filter,
-        chunk_all_match,
-        chunk_may_match,
-        decode_chunk_row,
-        normalize_predicates,
-        predicate_columns,
-    )
-    from ..util import default_concurrency
+    from .chunk_plan import plan_chunks, scan_chunks
 
     qs = list(qs)
     if any(not (0.0 <= q <= 1.0) for q in qs):
         raise ValueError(f"quantiles must be in [0, 1]: {qs!r}")
-    preds = normalize_predicates(predicate) if predicate is not None else []
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    lin_root = os.path.join(out_dir, "_lineage")
-    gids = active_groups(out_dir) if scope_groups is None else [
-        g for g in scope_groups
-        if os.path.exists(os.path.join(lin_root, f"group-{g}.parquet"))
-    ]
-    del_masks = {}
-    if deletes_dir is not None:
-        from .deletes import load_delete_masks
-
-        del_masks = load_delete_masks(deletes_dir)
-
+    _require_int_column(out_dir, col)
+    plan = plan_chunks(out_dir, predicate, snapshot)
     grids = []          # (np values, weight per point)
-    scan_keys = set()   # (fragment, chunk_id) needing a decode
-    scan_groups = set()
-    n_sketched = n_total = 0
-    for gid in gids:
-        lin = _lin_of(lin_root, gid)
-        for sj, frag, cid in zip(lin["stats_json"].to_pylist(),
-                                 lin["fragment"].to_pylist(),
-                                 lin["chunk_id"].to_pylist()):
-            if preds and not all(chunk_may_match(sj, p) for p in preds):
-                continue
-            dmask = del_masks.get((frag, cid))
-            if isinstance(dmask, str):
-                continue  # whole chunk deleted
-            n_total += 1
-            stats = json.loads(sj) if sj else {}
-            qe = stats.get("__quant__", {}).get(col)
-            usable = (qe is not None and dmask is None
-                      and (not preds
-                           or all(chunk_all_match(sj, p) for p in preds)))
-            if usable:
-                s = np.asarray(qe["s"], dtype=np.int64)
-                grids.append((s, qe["n"] / len(s)))
-                n_sketched += 1
-            else:
-                scan_keys.add((frag, cid))
-                scan_groups.add(gid)
+    scan = list(plan.maybe)
+    for c in plan.proven:
+        qe = c.stats.get("__quant__", {}).get(col)
+        if qe is not None and c.dmask is None:
+            grids.append(_quant_grid(qe))
+        else:
+            scan.append(c)
+    n_sketched = len(grids)
 
-    if scan_keys:
-        dec_cols = list(dict.fromkeys([col] + predicate_columns(preds)))
-        enc, cpt = _read_encoded(out_dir, dec_cols, concurrency,
-                                 groups=sorted(scan_groups),
-                                 chunk_ids={c for _f, c in scan_keys})
-
-        def part(batch: pa.Table) -> pa.Table:
-            _register_dict_dir(out_dir)
-            dm = {}
-            if deletes_dir is not None:
-                from .deletes import load_delete_masks as _ldm
-
-                dm = _ldm(deletes_dir)
-            vals = []
-            names = batch.column_names
-            for i in range(len(batch)):
-                key = (batch["fragment"][i].as_py(),
-                       batch["chunk_id"][i].as_py())
-                if key not in scan_keys:
-                    continue
-                dmask = dm.get(key) if dm else None
-                if isinstance(dmask, str):
-                    continue
-                row = {c: batch[c][i].as_py() for c in names}
-                t = decode_chunk_row(row, verify_checksum=False,
-                                     columns=dec_cols)
-                if dmask is not None:
-                    t = t.filter(pa.array(~dmask))
-                for p in preds:
-                    t = _exact_filter(t, p)
-                v = t[col].drop_null()
-                if len(v):
-                    vals.append(v.to_numpy(zero_copy_only=False))
+    if scan:
+        def fold(ts) -> pa.Table:
+            vals = [t[col].drop_null().to_numpy(zero_copy_only=False)
+                    for t in ts]
             out = (np.concatenate(vals).astype(np.int64)
                    if vals else np.zeros(0, np.int64))
             return pa.table({"v": pa.array(out, pa.int64())})
 
-        for b in enc.map_batches(
-                part, batch_format="pyarrow", batch_size=max(1, cpt),
-                zero_copy_batch=True,
-                concurrency=concurrency or default_concurrency(),
-        ).iter_batches(batch_format="pyarrow", batch_size=None):
+        for b in scan_chunks(out_dir, plan, scan, [col], fold, concurrency
+                             ).iter_batches(batch_format="pyarrow",
+                                            batch_size=None):
             if b.num_rows:
                 grids.append((b["v"].to_numpy(zero_copy_only=False), None))
 
     res = merge_quant_grids(grids, qs)
     if return_stats:
-        return res, {"chunks_total": n_total,
+        return res, {"chunks_total": len(plan.proven) + len(plan.maybe),
                      "chunks_sketched": n_sketched,
-                     "chunks_scanned": len(scan_keys)}
+                     "chunks_scanned": len({c.key for c in scan})}
     return res
 
 
@@ -2142,109 +1837,46 @@ def grouped_approx_quantiles(out_dir: str, group_col: str, col: str,
     group-clustered corpus the whole answer is a manifest scan.
     Returns a pandas frame (group, q, value) sorted by (group, q);
     group keys are stringified like ``group_counts``."""
+    import numpy as np
     import pandas as pd
 
     from ..stages.bloomzone import merge_quant_grids
-    from ..stages.decode import decode_chunk_row
-    from ..util import default_concurrency
+    from .chunk_plan import plan_chunks, scan_chunks, single_group
 
     qs = list(qs)
     if any(not (0.0 <= q <= 1.0) for q in qs):
         raise ValueError(f"quantiles must be in [0, 1]: {qs!r}")
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    lin_root = os.path.join(out_dir, "_lineage")
-    gids = active_groups(out_dir) if scope_groups is None else [
-        g for g in scope_groups
-        if os.path.exists(os.path.join(lin_root, f"group-{g}.parquet"))
-    ]
-    del_masks = {}
-    if deletes_dir is not None:
-        from .deletes import load_delete_masks
-
-        del_masks = load_delete_masks(deletes_dir)
-
+    _require_int_column(out_dir, col)
+    plan = plan_chunks(out_dir, None, snapshot)
     grids: dict = {}     # group key (str) -> [(values, weight)]
-    scan_keys = set()
-    scan_groups = set()
-    n_sketched = 0
-    for gid in gids:
-        lin = _lin_of(lin_root, gid)
-        for sj, frag, cid in zip(lin["stats_json"].to_pylist(),
-                                 lin["fragment"].to_pylist(),
-                                 lin["chunk_id"].to_pylist()):
-            dmask = del_masks.get((frag, cid))
-            if isinstance(dmask, str):
-                continue
-            stats = json.loads(sj) if sj else {}
-            band = stats.get(group_col)
-            qe = stats.get("__quant__", {}).get(col)
-            one_group = (band is not None and band[0] == band[1]
-                         and "__nulls__" in stats
-                         and not stats["__nulls__"].get(group_col))
-            if one_group and qe is not None and dmask is None:
-                import numpy as np
+    scan = []
+    for c in plan.proven:
+        g = single_group(c.stats, group_col)
+        qe = c.stats.get("__quant__", {}).get(col)
+        if g is not None and qe is not None and c.dmask is None:
+            grids.setdefault(str(g), []).append(_quant_grid(qe))
+        else:
+            scan.append(c)
+    n_sketched = len(plan.proven) - len(scan)
 
-                s = np.asarray(qe["s"], dtype=np.int64)
-                grids.setdefault(str(band[0]), []).append(
-                    (s, qe["n"] / len(s)))
-                n_sketched += 1
-            else:
-                scan_keys.add((frag, cid))
-                scan_groups.add(gid)
-
-    if scan_keys:
-        cols = [group_col, col]
-        enc, cpt = _read_encoded(out_dir, cols, concurrency,
-                                 groups=sorted(scan_groups),
-                                 chunk_ids={c for _f, c in scan_keys})
-
-        def part(batch: pa.Table) -> pa.Table:
-            _register_dict_dir(out_dir)
-            import numpy as np
-
-            dm = {}
-            if deletes_dir is not None:
-                from .deletes import load_delete_masks as _ldm
-
-                dm = _ldm(deletes_dir)
+    if scan:
+        def fold(ts) -> pa.Table:
             gs, vs = [], []
-            names = batch.column_names
-            for i in range(len(batch)):
-                key = (batch["fragment"][i].as_py(),
-                       batch["chunk_id"][i].as_py())
-                if key not in scan_keys:
-                    continue
-                dmask = dm.get(key) if dm else None
-                if isinstance(dmask, str):
-                    continue
-                row = {c: batch[c][i].as_py() for c in names}
-                t = decode_chunk_row(row, verify_checksum=False,
-                                     columns=cols)
-                if dmask is not None:
-                    t = t.filter(pa.array(~dmask))
+            for t in ts:
                 t = t.filter(pc.and_(pc.is_valid(t[group_col]),
                                      pc.is_valid(t[col])))
                 if t.num_rows:
-                    gs.append(np.asarray(
-                        [str(x) for x in t[group_col].to_pylist()],
-                        dtype=object))
+                    gs += [str(x) for x in t[group_col].to_pylist()]
                     vs.append(t[col].to_numpy(zero_copy_only=False)
                               .astype(np.int64))
-            if not gs:
-                return pa.table({"g": pa.array([], pa.string()),
-                                 "v": pa.array([], pa.int64())})
-            import numpy as np
-
             return pa.table({
-                "g": pa.array(np.concatenate(gs), pa.string()),
-                "v": pa.array(np.concatenate(vs), pa.int64()),
+                "g": pa.array(gs, pa.string()),
+                "v": pa.array(np.concatenate(vs) if vs
+                              else np.zeros(0, np.int64), pa.int64()),
             })
 
-        scanned = enc.map_batches(
-            part, batch_format="pyarrow", batch_size=max(1, cpt),
-            zero_copy_batch=True,
-            concurrency=concurrency or default_concurrency())
-        df = scanned.to_pandas()
+        df = scan_chunks(out_dir, plan, scan, [group_col, col], fold,
+                         concurrency).to_pandas()
         if not df.empty:
             for g, sub in df.groupby("g"):
                 grids.setdefault(str(g), []).append(
@@ -2263,8 +1895,31 @@ def grouped_approx_quantiles(out_dir: str, group_col: str, col: str,
     out = out.sort_values([group_col, "q"]).reset_index(drop=True)
     if return_stats:
         return out, {"chunks_sketched": n_sketched,
-                     "chunks_scanned": len(scan_keys)}
+                     "chunks_scanned": len({c.key for c in scan})}
     return out
+
+
+def _group_partials(meta: dict, scan, max_driver_groups: int, aggs):
+    """Per-group partial rows of a grouped pushdown as one pandas
+    frame: the metadata answers (``meta``: column -> list, computed on
+    the driver) plus the scan's per-task partials.  Driver-small scan
+    results (≤ max_driver_groups partial rows ≈ tasks × groups) come
+    over as they are; above the guard they are pre-merged by a
+    distributed Ray groupby over the partials Dataset (never the
+    corpus) — mirroring relational._lattice_levels_distributed — so
+    the driver only receives groups-sized frames.  The caller folds
+    the result with one pandas groupby."""
+    import pandas as pd
+
+    frames = [pa.table(meta).to_pandas()]
+    if scan is not None:
+        scan = scan.materialize()
+        if scan.count() > max_driver_groups:
+            frames.append(scan.groupby("g").aggregate(*aggs).to_pandas())
+        else:
+            frames.append(scan.to_pandas())
+    return pd.concat([f for f in frames if len(f)] or frames[:1],
+                     ignore_index=True)
 
 
 def group_counts(out_dir: str, group_col: str,
@@ -2285,65 +1940,39 @@ def group_counts(out_dir: str, group_col: str,
     unify there), and null-group rows follow the zone convention
     (only non-null groups are counted).  ``snapshot=`` answers as of
     a named snapshot."""
-    import json as _json
-
     import pandas as pd
+    from ray.data.aggregate import Sum
 
-    from ..stages.decode import decode_chunk_row
-    from ..util import default_concurrency
+    from .chunk_plan import plan_chunks, scan_chunks, single_group
 
     cols = [group_col] + ([value_col] if value_col else [])
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    enc, cpt = _read_encoded(out_dir, cols, concurrency,
-                             groups=scope_groups)
+    plan = plan_chunks(out_dir, None, snapshot)
+    meta = {"g": [], "n": [], "s": []}
+    scan = []
+    for c in plan.proven:
+        g = single_group(c.stats, group_col)
+        ssum = c.stats.get("__sums__", {}).get(value_col) \
+            if value_col else None
+        if g is not None and c.dmask is None and \
+                (value_col is None or ssum is not None):
+            n, s = c.n_rows, int(ssum or 0)
+        elif g is not None and value_col is None:
+            # single-group chunk: counts stay metadata-exact under
+            # deletions (n_rows - n_deleted); sums must decode
+            n, s = c.n_live, 0
+        else:
+            scan.append(c)
+            continue
+        meta["g"].append(str(g))
+        meta["n"].append(n)
+        meta["s"].append(s)
+    meta = {"g": pa.array(meta["g"], pa.string()),
+            "n": pa.array(meta["n"], pa.int64()),
+            "s": pa.array(meta["s"], pa.int64())}
 
-    def part(batch: pa.Table) -> pa.Table:
-        _register_dict_dir(out_dir)
-        import numpy as np
-
-        del_masks = {}
-        if deletes_dir is not None:
-            from .deletes import load_delete_masks
-
-            del_masks = load_delete_masks(deletes_dir)
+    def fold(ts) -> pa.Table:
         agg: dict = {}
-        names = batch.column_names
-        for r in range(len(batch)):
-            sj = batch["stats_json"][r].as_py()
-            stats = _json.loads(sj) if sj else {}
-            dmask = del_masks.get((batch["fragment"][r].as_py(),
-                                   batch["chunk_id"][r].as_py())) \
-                if del_masks else None
-            if isinstance(dmask, str):
-                continue  # whole chunk deleted
-            band = stats.get(group_col)
-            proven = (
-                band is not None and band[0] == band[1]
-                and "__nulls__" in stats
-                and not stats["__nulls__"].get(group_col)
-            )
-            ssum = stats.get("__sums__", {}).get(value_col) \
-                if value_col else None
-            if proven and dmask is None and \
-                    (value_col is None or ssum is not None):
-                g = band[0]
-                cur = agg.setdefault(g, [0, 0])
-                cur[0] += int(batch["n_rows"][r].as_py())
-                if value_col:
-                    cur[1] += int(ssum)
-                continue
-            if proven and dmask is not None and value_col is None:
-                # single-group chunk: counts stay metadata-exact under
-                # deletions (n_rows - n_deleted); sums must decode
-                agg.setdefault(band[0], [0, 0])[0] += (
-                    int(batch["n_rows"][r].as_py()) - int(dmask.sum()))
-                continue
-            row = {c: batch[c][r].as_py() for c in names}
-            t = decode_chunk_row(row, verify_checksum=False, columns=cols)
-            if dmask is not None:
-                t = t.filter(pa.array(~dmask))
-                if t.num_rows == 0:
-                    continue
+        for t in ts:
             gv = t[group_col].to_pandas()
             if value_col:
                 vv = pd.Series(t[value_col].to_pandas()).fillna(0)
@@ -2363,35 +1992,12 @@ def group_counts(out_dir: str, group_col: str,
             "s": pa.array([agg[k][1] for k in ks], pa.int64()),
         })
 
-    ds = enc.map_batches(part, batch_format="pyarrow",
-                         batch_size=max(1, cpt), zero_copy_batch=True,
-                         concurrency=concurrency or default_concurrency())
-    import pandas as pd
-
-    # Merge the per-task (group, partial) rows.  Driver-small results
-    # (≤ max_driver_groups partial rows ≈ tasks × groups) fold in one
-    # pandas groupby; above the guard the fold is a distributed Ray
-    # groupby over the partials Dataset (never the corpus) — mirroring
-    # relational._lattice_levels_distributed — so the driver only
-    # receives the already-merged groups-sized frame it must return.
-    ds = ds.materialize()
-    if ds.count() > max_driver_groups:
-        from ray.data.aggregate import Sum
-
-        out = ds.groupby("g").aggregate(
-            Sum("n", alias_name="n_rows"),
-            Sum("s", alias_name="s")).to_pandas()
-    else:
-        df = ds.to_pandas()
-        if df.empty:
-            # every group pruned/deleted: an empty frame with the right
-            # columns (a wiped corpus's blocks never reach `part`, so
-            # the frame arrives schemaless)
-            df = pd.DataFrame({"g": pd.Series([], dtype=str),
-                               "n": pd.Series([], dtype="int64"),
-                               "s": pd.Series([], dtype="int64")})
-        out = df.groupby("g", as_index=False).agg(n_rows=("n", "sum"),
-                                                  s=("s", "sum"))
+    df = _group_partials(
+        meta, scan_chunks(out_dir, plan, scan, cols, fold, concurrency)
+        if scan else None, max_driver_groups,
+        [Sum("n", alias_name="n"), Sum("s", alias_name="s")])
+    out = df.groupby("g", as_index=False).agg(n_rows=("n", "sum"),
+                                              s=("s", "sum"))
     out = out.rename(columns={"g": group_col})
     if value_col:
         out = out.rename(columns={"s": f"sum_{value_col}"})
@@ -2410,70 +2016,32 @@ def summary_where(out_dir: str, col: str, predicate=None,
     columns only.  Returns {"count", "sum", "min", "max"} with SQL
     null semantics (count counts matching ROWS; sum/min/max skip
     nulls; min/max are None on an empty match set)."""
-    from ..stages.decode import (
-        _exact_filter,
-        chunk_all_match,
-        chunk_may_match,
-        decode_chunk_row,
-        normalize_predicates,
-        predicate_columns,
-    )
-    from ..util import default_concurrency
+    from .chunk_plan import plan_chunks, scan_chunks
 
-    preds = normalize_predicates(predicate) if predicate is not None else []
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    dec_cols = list(dict.fromkeys([col] + predicate_columns(preds)))
-    enc, cpt = _read_encoded(out_dir, dec_cols, concurrency,
-                             predicate=predicate, groups=scope_groups)
+    plan = plan_chunks(out_dir, predicate, snapshot)
+    n = s = 0
+    mns, mxs = [], []
+    scan = list(plan.maybe)
+    for c in plan.proven:
+        band = c.stats.get(col)
+        ssum = c.stats.get("__sums__", {}).get(col)
+        if (c.dmask is None and band is not None and ssum is not None
+                and "__nulls__" in c.stats
+                and not c.stats["__nulls__"].get(col)):
+            n += c.n_rows
+            s += int(ssum)
+            mns.append(int(band[0]))
+            mxs.append(int(band[1]))
+        else:
+            scan.append(c)
 
-    def part(batch: pa.Table) -> pa.Table:
-        _register_dict_dir(out_dir)
-        del_masks = {}
-        if deletes_dir is not None:
-            from .deletes import load_delete_masks
-
-            del_masks = load_delete_masks(deletes_dir)
+    def fold(ts) -> pa.Table:
         n = s = 0
         mn = mx = None
-        names = batch.column_names
-        for r in range(len(batch)):
-            sj = batch["stats_json"][r].as_py()
-            if preds and not all(chunk_may_match(sj, p) for p in preds):
-                continue
-            stats = json.loads(sj) if sj else {}
-            dmask = del_masks.get((batch["fragment"][r].as_py(),
-                                   batch["chunk_id"][r].as_py())) \
-                if del_masks else None
-            if isinstance(dmask, str):
-                continue
-            band = stats.get(col)
-            ssum = stats.get("__sums__", {}).get(col)
-            proven = (dmask is None and band is not None
-                      and ssum is not None
-                      and "__nulls__" in stats
-                      and not stats["__nulls__"].get(col)
-                      and (not preds or all(chunk_all_match(sj, p)
-                                            for p in preds)))
-            if proven:
-                n += int(batch["n_rows"][r].as_py())
-                s += int(ssum)
-                lo, hi = int(band[0]), int(band[1])
-                mn = lo if mn is None else min(mn, lo)
-                mx = hi if mx is None else max(mx, hi)
-                continue
-            row = {c: batch[c][r].as_py() for c in names}
-            t = decode_chunk_row(row, verify_checksum=False,
-                                 columns=dec_cols)
-            if dmask is not None:
-                t = t.filter(pa.array(~dmask))
-            for p in preds:
-                t = _exact_filter(t, p)
-            if not t.num_rows:
-                continue
+        for t in ts:
             n += t.num_rows
             v = t[col]
-            vs = pc.sum(v).as_py()
-            s += int(vs or 0)
+            s += int(pc.sum(v).as_py() or 0)
             mm = pc.min_max(v)
             vlo, vhi = mm["min"].as_py(), mm["max"].as_py()
             if vlo is not None:
@@ -2484,14 +2052,14 @@ def summary_where(out_dir: str, col: str, predicate=None,
                          "mn": pa.array([mn], pa.int64()),
                          "mx": pa.array([mx], pa.int64())})
 
-    parts = enc.map_batches(
-        part, batch_format="pyarrow", batch_size=max(1, cpt),
-        zero_copy_batch=True,
-        concurrency=concurrency or default_concurrency()).take_all()
-    n = sum(p["n"] for p in parts)
-    s = sum(p["s"] for p in parts)
-    mns = [p["mn"] for p in parts if p["mn"] is not None]
-    mxs = [p["mx"] for p in parts if p["mx"] is not None]
+    if scan:
+        for p in scan_chunks(out_dir, plan, scan, [col], fold,
+                             concurrency).take_all():
+            n += p["n"]
+            s += p["s"]
+            if p["mn"] is not None:
+                mns.append(p["mn"])
+                mxs.append(p["mx"])
     return {"count": int(n), "sum": int(s),
             "min": int(min(mns)) if mns else None,
             "max": int(max(mxs)) if mxs else None}
@@ -2507,90 +2075,60 @@ def grouped_topk_where(out_dir: str, group_col: str, value_col: str,
     """Top-k rows PER GROUP over the encoded corpus — ``topk_where``'s
     bound computed per group key from the manifests.
 
-    Phase 1 walks the lineage: chunks proven single-group (group band
-    lo == hi, zero group nulls) accumulate per-key live non-null rows
-    in zone-min order until ≥ k, bounding that key's k-th value T_g;
-    a single-group chunk whose value band can't reach its own T_g is
-    pruned.  Mixed-group chunks can't prove which keys they hold, so
-    they always decode (and never contribute to any T_g — bounds stay
-    true).  On a group-clustered / partitioned layout every chunk is
-    single-group and the scan shrinks to ~k rows' worth of chunks per
-    key; unaligned layouts degrade to a full decode, never to a wrong
-    answer.  Phase 2 decodes candidates, keeps per-(task, group)
+    Phase 1 walks the chunk plan: chunks proven single-group (group
+    band lo == hi, zero group nulls) accumulate per-key live non-null
+    rows in zone-min order until ≥ k, bounding that key's k-th value
+    T_g; a single-group chunk whose value band can't reach its own T_g
+    is pruned.  Mixed-group chunks can't prove which keys they hold,
+    so they always decode (and never contribute to any T_g — bounds
+    stay true).  On a group-clustered / partitioned layout every chunk
+    is single-group and the scan shrinks to ~k rows' worth of chunks
+    per key; unaligned layouts degrade to a full decode, never to a
+    wrong answer.  Phase 2 decodes candidates, keeps per-(task, group)
     top-k partials, and merges ≤ k × groups × tasks rows on the
     driver.  Deletes subtract/mask; value nulls never rank."""
-    from ..stages.decode import decode_chunk_row
-    from ..util import default_concurrency
+    from .chunk_plan import plan_chunks, scan_chunks, single_group
 
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    lin_root = os.path.join(out_dir, "_lineage")
-    gids = active_groups(out_dir) if scope_groups is None else [
-        g for g in scope_groups
-        if os.path.exists(os.path.join(lin_root, f"group-{g}.parquet"))
-    ]
-    del_masks = {}
-    if deletes_dir is not None:
-        from .deletes import load_delete_masks
-
-        del_masks = load_delete_masks(deletes_dir)
-
-    single: dict = {}   # key -> [(far, near, n_nonnull, gid, cid)]
-    mixed = []          # [(gid, cid)] — always decode
-    for gid in gids:
-        lin = _lin_of(lin_root, gid)
-        for sj, n, frag, cid in zip(lin["stats_json"].to_pylist(),
-                                    lin["n_rows"].to_pylist(),
-                                    lin["fragment"].to_pylist(),
-                                    lin["chunk_id"].to_pylist()):
-            dmask = del_masks.get((frag, cid))
-            if isinstance(dmask, str):
-                continue
-            n_live = int(n) - (int(dmask.sum()) if dmask is not None else 0)
-            if n_live <= 0:
-                continue
-            stats = json.loads(sj) if sj else {}
-            gband = stats.get(group_col)
-            vband = stats.get(value_col)
-            nt = stats.get("__nulls__")
-            one_group = (gband is not None and gband[0] == gband[1]
-                         and nt is not None and not nt.get(group_col))
-            if not one_group or vband is None:
-                mixed.append((gid, cid))
-                continue
-            n_nonnull = max(0, n_live - int(nt.get(value_col, 0)))
-            lo, hi = vband
-            near, far = (hi, lo) if descending else (lo, hi)
-            single.setdefault(gband[0], []).append(
-                (far, near, n_nonnull, gid, cid))
+    plan = plan_chunks(out_dir, None, snapshot)
+    single: dict = {}   # key -> [(far, near, n_nonnull, chunk)]
+    mixed = []          # always decode
+    for c in plan.proven:
+        n_live = c.n_live
+        if n_live <= 0:
+            continue
+        g = single_group(c.stats, group_col)
+        vband = c.stats.get(value_col)
+        if g is None or vband is None:
+            mixed.append(c)
+            continue
+        n_nonnull = max(0, n_live - int(
+            c.stats["__nulls__"].get(value_col, 0)))
+        lo, hi = vband
+        near, far = (hi, lo) if descending else (lo, hi)
+        single.setdefault(g, []).append((far, near, n_nonnull, c))
 
     cand = list(mixed)
-    for key, chunks in single.items():
-        chunks.sort(key=lambda c: c[0], reverse=descending)
+    for chunks in single.values():
+        chunks.sort(key=lambda x: x[0], reverse=descending)
         T = None
         acc = 0
-        for far, _near, nn, _g, _c in chunks:
+        for far, _near, nn, _c in chunks:
             acc += nn
             if acc >= k:
                 T = far
                 break
-        for far, near, _nn, gid, cid in chunks:
-            if T is None or ((near >= T) if descending else (near <= T)):
-                cand.append((gid, cid))
+        cand += [c for _far, near, _nn, c in chunks
+                 if T is None or ((near >= T) if descending else (near <= T))]
 
     out_cols = list(dict.fromkeys(
         [group_col, value_col, *tie_cols, *(columns or [])]))
-    n_chunks_total = len(mixed) + sum(len(v) for v in single.values())
-    stats_out = {"chunks_total": n_chunks_total,
+    stats_out = {"chunks_total": len(mixed) + sum(map(len, single.values())),
                  "chunks_candidate": len(cand),
                  "chunks_mixed": len(mixed)}
     if not cand:
         empty = _typed_empty(out_dir, out_cols)
         return (empty, stats_out) if return_stats else empty
 
-    cand_cids = {c for _g, c in cand}
-    enc, cpt = _read_encoded(out_dir, out_cols, concurrency,
-                             groups=sorted({g for g, _c in cand}),
-                             chunk_ids=cand_cids)
     order = [(value_col, "descending" if descending else "ascending")] + [
         (c, "ascending") for c in tie_cols
     ]
@@ -2599,8 +2137,6 @@ def grouped_topk_where(out_dir: str, group_col: str, value_col: str,
     empty_block = _typed_empty(out_dir, out_cols)
 
     def _topk_per_group(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         df = t.select(out_cols).to_pandas()
         df = df[df[value_col].notna()]
         df = df.sort_values(
@@ -2610,37 +2146,12 @@ def grouped_topk_where(out_dir: str, group_col: str, value_col: str,
             df.groupby(group_col, sort=False).head(k),
             preserve_index=False)
 
-    def part(batch: pa.Table) -> pa.Table:
-        _register_dict_dir(out_dir)
-        dm = {}
-        if deletes_dir is not None:
-            from .deletes import load_delete_masks as _ldm
+    def fold(ts) -> pa.Table:
+        parts = [t.select(out_cols) for t in ts]
+        return _topk_per_group(pa.concat_tables(parts)) if parts \
+            else empty_block
 
-            dm = _ldm(deletes_dir)
-        parts = []
-        names = batch.column_names
-        for r in range(len(batch)):
-            key = (batch["fragment"][r].as_py(),
-                   batch["chunk_id"][r].as_py())
-            if batch["chunk_id"][r].as_py() not in cand_cids:
-                continue
-            dmask = dm.get(key) if dm else None
-            if isinstance(dmask, str):
-                continue
-            row = {c: batch[c][r].as_py() for c in names}
-            t = decode_chunk_row(row, verify_checksum=False,
-                                 columns=out_cols)
-            if dmask is not None:
-                t = t.filter(pa.array(~dmask))
-            if t.num_rows:
-                parts.append(t.select(out_cols))
-        if not parts:
-            return empty_block
-        return _topk_per_group(pa.concat_tables(parts))
-
-    ds = enc.map_batches(part, batch_format="pyarrow",
-                         batch_size=max(1, cpt), zero_copy_batch=True,
-                         concurrency=concurrency or default_concurrency())
+    ds = scan_chunks(out_dir, plan, cand, out_cols, fold, concurrency)
     # Merge the ≤ k-per-(group, task) survivors.  Driver-small merges
     # concat + one pandas top-k; above max_driver_groups survivor rows
     # the per-group head runs as a distributed Ray groupby over the
@@ -2690,74 +2201,45 @@ def group_aggregates(out_dir: str, group_col: str, value_col: str,
     sum_/min_/max_<value_col>) sorted by group; groups are stringified
     like ``group_counts``; value nulls follow SQL semantics (skipped
     by SUM/MIN/MAX, counted by n_rows).  ``snapshot=`` as usual."""
-    import json as _json
-
     import pandas as pd
+    from ray.data.aggregate import Max, Min, Sum
 
-    from ..stages.decode import decode_chunk_row
-    from ..util import default_concurrency
+    from .chunk_plan import plan_chunks, scan_chunks, single_group
 
-    cols = [group_col, value_col]
-    scope_groups, deletes_dir = _scope(out_dir, snapshot)
-    enc, cpt = _read_encoded(out_dir, cols, concurrency,
-                             groups=scope_groups)
+    plan = plan_chunks(out_dir, None, snapshot)
+    meta = {"g": [], "n": [], "s": [], "mn": [], "mx": []}
+    scan = []
+    for c in plan.proven:
+        g = single_group(c.stats, group_col)
+        vband = c.stats.get(value_col)
+        ssum = c.stats.get("__sums__", {}).get(value_col)
+        if g is None or c.dmask is not None or ssum is None \
+                or vband is None:
+            scan.append(c)
+            continue
+        for k, v in zip(meta, (str(g), c.n_rows, int(ssum),
+                               int(vband[0]), int(vband[1]))):
+            meta[k].append(v)
+    meta = {k: pa.array(v, pa.string() if k == "g" else pa.int64())
+            for k, v in meta.items()}
 
-    def part(batch: pa.Table) -> pa.Table:
-        _register_dict_dir(out_dir)
-        del_masks = {}
-        if deletes_dir is not None:
-            from .deletes import load_delete_masks
-
-            del_masks = load_delete_masks(deletes_dir)
+    def fold(ts) -> pa.Table:
         agg: dict = {}  # g -> [n, s, mn, mx]
-
-        def fold(g, n, s, mn, mx):
-            cur = agg.setdefault(g, [0, 0, None, None])
-            cur[0] += int(n)
-            cur[1] += int(s)
-            if mn is not None:
-                cur[2] = mn if cur[2] is None else min(cur[2], mn)
-            if mx is not None:
-                cur[3] = mx if cur[3] is None else max(cur[3], mx)
-
-        names = batch.column_names
-        for r in range(len(batch)):
-            sj = batch["stats_json"][r].as_py()
-            stats = _json.loads(sj) if sj else {}
-            dmask = del_masks.get((batch["fragment"][r].as_py(),
-                                   batch["chunk_id"][r].as_py())) \
-                if del_masks else None
-            if isinstance(dmask, str):
-                continue
-            band = stats.get(group_col)
-            vband = stats.get(value_col)
-            ssum = stats.get("__sums__", {}).get(value_col)
-            proven = (
-                band is not None and band[0] == band[1]
-                and "__nulls__" in stats
-                and not stats["__nulls__"].get(group_col)
-            )
-            if proven and dmask is None and ssum is not None \
-                    and vband is not None:
-                fold(band[0], batch["n_rows"][r].as_py(), ssum,
-                     int(vband[0]), int(vband[1]))
-                continue
-            row = {c: batch[c][r].as_py() for c in names}
-            t = decode_chunk_row(row, verify_checksum=False, columns=cols)
-            if dmask is not None:
-                t = t.filter(pa.array(~dmask))
-                if t.num_rows == 0:
-                    continue
+        for t in ts:
             gv = t[group_col].to_pandas()
             vv = pd.Series(t[value_col].to_pandas())
             grp = vv.groupby(gv)
             counts = gv.groupby(gv).size()
             sums, mns, mxs = grp.sum(), grp.min(), grp.max()
             for g in counts.index:
+                cur = agg.setdefault(g, [0, 0, None, None])
+                cur[0] += int(counts[g])
+                cur[1] += 0 if pd.isna(sums.get(g)) else int(sums[g])
                 mn, mx = mns.get(g), mxs.get(g)
-                fold(g, counts[g], 0 if pd.isna(sums.get(g)) else sums[g],
-                     None if pd.isna(mn) else int(mn),
-                     None if pd.isna(mx) else int(mx))
+                if not pd.isna(mn):
+                    cur[2] = int(mn) if cur[2] is None else min(cur[2], int(mn))
+                if not pd.isna(mx):
+                    cur[3] = int(mx) if cur[3] is None else max(cur[3], int(mx))
         ks = sorted(agg)
         return pa.table({
             "g": pa.array([str(k) for k in ks], pa.string()),
@@ -2767,31 +2249,15 @@ def group_aggregates(out_dir: str, group_col: str, value_col: str,
             "mx": pa.array([agg[k][3] for k in ks], pa.int64()),
         })
 
-    ds = enc.map_batches(part, batch_format="pyarrow",
-                         batch_size=max(1, cpt), zero_copy_batch=True,
-                         concurrency=concurrency or default_concurrency())
-    # same driver-size guard as group_counts: distributed Ray groupby
-    # over the partials above max_driver_groups partial rows
-    ds = ds.materialize()
-    if ds.count() > max_driver_groups:
-        from ray.data.aggregate import Max, Min, Sum
-
-        out = ds.groupby("g").aggregate(
-            Sum("n", alias_name="n_rows"),
-            Sum("s", alias_name="s"),
-            Min("mn", alias_name="mn"),
-            Max("mx", alias_name="mx")).to_pandas()
-    else:
-        df = ds.to_pandas()
-        if df.empty:
-            df = pd.DataFrame({"g": pd.Series([], dtype=str),
-                               "n": pd.Series([], dtype="int64"),
-                               "s": pd.Series([], dtype="int64"),
-                               "mn": pd.Series([], dtype="int64"),
-                               "mx": pd.Series([], dtype="int64")})
-        out = df.groupby("g", as_index=False).agg(
-            n_rows=("n", "sum"), s=("s", "sum"),
-            mn=("mn", "min"), mx=("mx", "max"))
+    df = _group_partials(
+        meta, scan_chunks(out_dir, plan, scan, [group_col, value_col],
+                          fold, concurrency) if scan else None,
+        max_driver_groups,
+        [Sum("n", alias_name="n"), Sum("s", alias_name="s"),
+         Min("mn", alias_name="mn"), Max("mx", alias_name="mx")])
+    out = df.groupby("g", as_index=False).agg(
+        n_rows=("n", "sum"), s=("s", "sum"),
+        mn=("mn", "min"), mx=("mx", "max"))
     out = out.rename(columns={"g": group_col,
                               "s": f"sum_{value_col}",
                               "mn": f"min_{value_col}",

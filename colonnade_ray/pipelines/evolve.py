@@ -560,28 +560,25 @@ def rename_columns(out_dir: str, mapping: dict,
 
 
 class _UpdateChunks:
-    """Chunk-row rewriter for update_where: chunks the zone maps prove
-    untouched copy VERBATIM (no decode, no re-encode); touched chunks
+    """Chunk-row rewriter for update_where: chunks outside ``keys``
+    (the (fragment, chunk_id) pairs the chunk planner could not prove
+    untouched) copy VERBATIM (no decode, no re-encode); touched chunks
     decode, rewrite ONLY the matching rows through ``fn``, and
     re-encode under the same plan and pinned shared dictionaries."""
 
-    def __init__(self, out_dir: str, predicate, fn: Callable):
-        from ..stages.decode import normalize_predicates
-
+    def __init__(self, out_dir: str, predicates: list, fn: Callable,
+                 keys: set):
         self.out_dir = out_dir
-        self.predicates = normalize_predicates(predicate)
+        self.predicates = predicates
         self.fn = fn
+        self.keys = keys
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         from ..codecs.shared_dict import register_dir
         from ..plan import CodecPlan, bind_plan
-        from ..stages.decode import (
-            chunk_may_match,
-            decode_chunk_row,
-            predicate_mask,
-        )
+        from ..stages.decode import decode_chunk_row, predicate_mask
         from ..stages.encode import encode_chunk
         from .encode_pipeline import load_pinned_dicts
 
@@ -593,8 +590,8 @@ class _UpdateChunks:
         names_in = batch.column_names
         out_tables = []
         for r in range(len(batch)):
-            sj = batch["stats_json"][r].as_py()
-            if not all(chunk_may_match(sj, p) for p in self.predicates):
+            if (batch["fragment"][r].as_py(),
+                    batch["chunk_id"][r].as_py()) not in self.keys:
                 out_tables.append(batch.slice(r, 1))  # proven untouched
                 continue
             row = {c: batch[c][r].as_py() for c in names_in}
@@ -675,11 +672,8 @@ def update_where(out_dir: str, predicate, fn: Callable,
     that moves rows out of the matched set)."""
     import ray.data as rd
 
-    from ..stages.decode import (
-        chunk_may_match,
-        normalize_predicates,
-        predicate_json,
-    )
+    from ..stages.decode import normalize_predicates, predicate_json
+    from .chunk_plan import plan_chunks
     from .deletes import committed_deletes
     from .encode_pipeline import (
         LINEAGE_COLS,
@@ -708,13 +702,12 @@ def update_where(out_dir: str, predicate, fn: Callable,
         raise FileNotFoundError(f"no committed encode groups under {out_dir}")
     pred_key = json.dumps(predicate_json(preds),
                           sort_keys=True, default=str)
-    todo = []
-    for gid in groups:
-        lt = pq.read_table(os.path.join(lin_root, f"group-{gid}.parquet"),
-                           columns=["stats_json"])
-        sj = lt["stats_json"].to_pylist()
-        if any(all(chunk_may_match(s, p) for p in preds) for s in sj):
-            todo.append(gid)  # else zone maps prove: nothing to update
+    plan = plan_chunks(out_dir, preds)
+    touched = plan.proven + plan.maybe
+    keys = {c.key for c in touched}
+    hit = {c.gid for c in touched}
+    # groups the plan proves untouched are skipped entirely
+    todo = [g for g in plan.groups if g in hit]
 
     def _one(gid: str) -> None:
         gdir_old = os.path.join(data_root, f"group-{gid}")
@@ -729,7 +722,7 @@ def update_where(out_dir: str, predicate, fn: Callable,
         if os.path.exists(gdir):
             shutil.rmtree(gdir)
         rd.read_parquet(files, override_num_blocks=max(1, len(files))) \
-            .map_batches(_UpdateChunks(out_dir, predicate, fn),
+            .map_batches(_UpdateChunks(out_dir, preds, fn, keys),
                          batch_format="pyarrow", batch_size=4,
                          zero_copy_batch=True, concurrency=concurrency) \
             .write_parquet(gdir, compression="none", row_group_size=1)

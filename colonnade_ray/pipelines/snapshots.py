@@ -266,13 +266,7 @@ def decode_snapshot(out_dir: str, tag: str, verify_checksum: bool = True,
     pinned groups and applies exactly the masks committed at create
     time (later deletes are invisible; masks retired by a later
     vacuum still apply from the snapshot's copy)."""
-    from .encode_pipeline import _read_encoded, decode_dataset
+    from .encode_pipeline import _decode_scoped
 
-    m = _manifest(out_dir, tag)
-    enc, cpt = _read_encoded(out_dir, columns, concurrency,
-                             predicate=predicate, groups=m["groups"])
-    sdir = _snap_dir(out_dir, tag) if m["deletes"] else None
-    return decode_dataset(enc, verify_checksum=verify_checksum,
-                          concurrency=concurrency, columns=columns,
-                          predicate=predicate, chunks_per_task=cpt,
-                          dict_dirs=[out_dir], deletes_dir=sdir)
+    return _decode_scoped(out_dir, tag, verify_checksum, concurrency,
+                          columns, predicate)

@@ -94,27 +94,44 @@ def build_bloom(arr) -> Optional[dict]:
             "b64": base64.b64encode(np.packbits(bits).tobytes()).decode()}
 
 
-def _value_np(value) -> Optional[np.ndarray]:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, np.integer)):
-        return np.array([int(value)], dtype=np.int64)
-    if isinstance(value, str):
-        return np.array([value], dtype=object)
-    return None
+def value_hashes(values) -> Optional[np.ndarray]:
+    """Bloom hashes of predicate constants, computed once per query:
+    ints hash as int64 and strings as objects, exactly as
+    ``build_bloom`` hashed the chunk's values.  None when any value
+    can't be probed (bool, float, None, ints outside int64) — such a
+    list may always match."""
+    ints, strs = [], []
+    for v in values:
+        if isinstance(v, str):
+            strs.append(v)
+        elif (isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+              and -(1 << 63) <= int(v) < (1 << 63)):
+            ints.append(int(v))
+        else:
+            return None
+    parts = [_hash_u64(np.array(ints, dtype=np.int64))] if ints else []
+    if strs:
+        parts.append(_hash_u64(np.array(strs, dtype=object)))
+    return np.concatenate(parts).astype(np.uint64)
+
+
+def bloom_may_contain(entry: dict, hashes: np.ndarray) -> bool:
+    """True when any hashed value MAY be in the chunk's filter, False
+    only when every one is provably absent.  Reads the k bits of each
+    value straight from the packed filter bytes."""
+    m = int(entry["m"])
+    packed = np.frombuffer(base64.b64decode(entry["b64"]), dtype=np.uint8)
+    pos = _positions(hashes, m).reshape(-1, K_HASHES)
+    bits = (packed[pos >> np.uint64(3)]
+            >> (np.uint64(7) - (pos & np.uint64(7))).astype(np.uint8)) & 1
+    return bool(bits.all(axis=1).any())
 
 
 def probe_bloom(entry: dict, value) -> bool:
     """True when the value MAY be present (or can't be probed);
     False only when provably absent."""
-    v = _value_np(value)
-    if v is None:
-        return True
-    m = int(entry["m"])
-    bits = np.unpackbits(
-        np.frombuffer(base64.b64decode(entry["b64"]), dtype=np.uint8),
-        count=m).astype(bool)
-    return bool(bits[_positions(_hash_u64(v), m)].all())
+    h = value_hashes([value])
+    return h is None or bloom_may_contain(entry, h)
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +249,14 @@ def merge_quant_grids(grids, qs) -> list:
     smallest value whose cumulative weight reaches q * total (the
     ``quantile_disc`` convention — exact when every entry is exact).
     ``grids``: iterable of (np.ndarray values, weight_per_point or
-    None for weight 1).  Returns [value per q] (None when empty)."""
+    None for weight 1).  Values sort in int64, so integers above 2^53
+    come back exact.  Returns [value per q] (None when empty)."""
     vs, ws = [], []
     for values, w in grids:
-        v = np.asarray(values)
+        v = np.asarray(values, dtype=np.int64)
         if v.size == 0:
             continue
-        vs.append(v.astype(np.float64))
+        vs.append(v)
         ws.append(np.full(v.size, 1.0 if w is None else float(w)))
     if not vs:
         return [None for _ in qs]

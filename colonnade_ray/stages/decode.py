@@ -167,26 +167,60 @@ def _zero_nulls_proven(stats: dict, cols) -> bool:
     return all(not nt.get(c, 0) for c in cols)
 
 
-def chunk_may_match(stats_json: Optional[str], predicate: Tuple[str, str, object]) -> bool:
+def parse_stats(stats_json: Optional[str]) -> dict:
+    """A chunk's ``stats_json`` string -> dict ({} when absent)."""
+    return json.loads(stats_json) if stats_json else {}
+
+
+class _Leaf:
+    """One ``(col, op, value)`` clause, compiled: an ``==`` / ``in``
+    clause hashes its values for the Bloom probe here, once per query,
+    instead of once per value per chunk."""
+
+    __slots__ = ("col", "op", "val", "hashes")
+
+    def __init__(self, clause):
+        self.col, self.op, self.val = clause
+        self.hashes = None
+        if self.op in ("==", "in"):
+            from .bloomzone import value_hashes
+
+            self.hashes = value_hashes(
+                self.val if self.op == "in" else [self.val])
+
+
+def _compile(e):
+    """Predicate expression -> the same tree with compiled leaves."""
+    if _is_node(e):
+        return (e[0], *[_compile(k) for k in e[1:]])
+    return _Leaf(e)
+
+
+def _leaf_cols(e) -> list:
+    if isinstance(e, _Leaf):
+        return [e.col]
+    return [c for k in e[1:] for c in _leaf_cols(k)]
+
+
+def _may(stats: dict, e) -> bool:
     """False only when the chunk's [min, max] PROVES no row matches.
     Equality / set-membership predicates additionally probe the
     chunk's per-column Bloom filter when one was recorded
     (``encode_corpus(bloom_cols=...)``, stages/bloomzone.py) — the
     point-read pruner zone bands can't provide on high-cardinality
     columns.  Absence of a filter is conservative (may-match)."""
-    if _is_node(predicate):
-        op = predicate[0]
+    if not isinstance(e, _Leaf):
+        op = e[0]
         if op == "and":
-            return all(chunk_may_match(stats_json, k) for k in predicate[1:])
+            return all(_may(stats, k) for k in e[1:])
         if op == "or":
             # conservative union: the chunk survives if ANY branch may
-            return any(chunk_may_match(stats_json, k) for k in predicate[1:])
+            return any(_may(stats, k) for k in e[1:])
         # not: only an ALL-match proof of the operand excludes ¬p rows
-        return not chunk_all_match(stats_json, predicate[1])
-    if not stats_json:
+        return not _all(stats, e[1])
+    if not stats:
         return True
-    col, op, val = predicate
-    stats = json.loads(stats_json)
+    col, op, val = e.col, e.op, e.val
     if op == "is_null":
         # provably null-free needs a zone entry (a statable, not
         # all-null column) AND a proven-zero null count
@@ -196,11 +230,10 @@ def chunk_may_match(stats_json: Optional[str], predicate: Tuple[str, str, object
         # never provable from stats — stay conservative
         return True
     bent = stats.get("__bloom__", {}).get(col)
-    if bent is not None and op in ("==", "in"):
-        from .bloomzone import probe_bloom
+    if bent is not None and e.hashes is not None:
+        from .bloomzone import bloom_may_contain
 
-        vals = val if op == "in" else [val]
-        if not any(probe_bloom(bent, v) for v in vals):
+        if not bloom_may_contain(bent, e.hashes):
             return False  # provably absent from this chunk
     if col not in stats:
         return True
@@ -245,6 +278,101 @@ def chunk_may_match(stats_json: Optional[str], predicate: Tuple[str, str, object
     if op == "<=":
         return lo <= v
     return True
+
+
+def _all(stats: dict, e) -> bool:
+    """True only when the chunk's [min, max] PROVES every row matches
+    — the COUNT-pushdown fast path (count n_rows without touching the
+    payload).  Requires a zone entry, a comparable bound, and a
+    proven-zero null count (nulls never satisfy a comparison, and
+    [min, max] is computed over non-nulls; chunks encoded before the
+    `__nulls__` side table simply never prove all-match)."""
+    if not isinstance(e, _Leaf):
+        op = e[0]
+        if op == "and":
+            return all(_all(stats, k) for k in e[1:])
+        if op == "or":
+            # sound (not complete): one branch proving every row is
+            # enough; cross-branch row-level unions are unprovable
+            # from [min, max] alone
+            return any(_all(stats, k) for k in e[1:])
+        # not: every row must FAIL p with a non-null outcome — p
+        # provably matches no row AND its columns are provably
+        # null-free (null comparisons are SQL-null, and NOT null is
+        # still not TRUE)
+        return (bool(stats) and not _may(stats, e[1])
+                and _zero_nulls_proven(stats, _leaf_cols(e[1])))
+    if not stats:
+        return False
+    col, op, val = e.col, e.op, e.val
+    if op == "is_null":
+        return False  # all-null chunks carry no provable entry
+    if op == "not_null":
+        return col in stats and _zero_nulls_proven(stats, [col])
+    if col not in stats:
+        return False
+    if "__nulls__" not in stats:
+        return False  # pre-__nulls__ chunk: zero nulls unprovable
+    if stats["__nulls__"].get(col):
+        return False
+    lo, hi = stats[col]
+    if op == "startswith":
+        # both endpoints carrying the prefix proves every row between
+        # them does too: lo >= v and hi < _str_upper(v) bound the whole
+        # band inside the prefix range (truncated lo stays safe — the
+        # true min is >= lo and <= hi, both inside the range)
+        return (isinstance(lo, str) and isinstance(hi, str)
+                and isinstance(val, str) and val != ""
+                and lo.startswith(val) and hi.startswith(val))
+    numeric = isinstance(lo, (int, float)) and isinstance(hi, (int, float))
+    if isinstance(lo, str) and isinstance(hi, str):
+        vals = val if op == "in" else [val]
+        if not all(isinstance(v, str) for v in vals):
+            return False
+        # a truncated string MIN is a lower bound, not the true min —
+        # good enough for ">=" proofs only when strictly above
+    elif not numeric:
+        return False
+    if op == "in":
+        return lo == hi and any(_predicate_value(x) == lo for x in val)
+    v = _predicate_value(val)
+    if op == "==":
+        return lo == v == hi
+    if op == "!=":
+        return hi < v or lo > v
+    if op == ">":
+        return lo > v
+    if op == ">=":
+        return lo >= v
+    if op == "<":
+        return hi < v
+    if op == "<=":
+        return hi <= v
+    return False
+
+
+class ChunkClassifier:
+    """An AND-list of predicate expressions compiled once per query;
+    ``may`` / ``all`` classify one chunk from its parsed stats."""
+
+    def __init__(self, preds):
+        self._preds = [_compile(p) for p in preds]
+
+    def may(self, stats: dict) -> bool:
+        return all(_may(stats, p) for p in self._preds)
+
+    def all(self, stats: dict) -> bool:
+        return all(_all(stats, p) for p in self._preds)
+
+
+def chunk_may_match(stats_json: Optional[str], predicate) -> bool:
+    """:func:`_may` over a raw ``stats_json`` string."""
+    return _may(parse_stats(stats_json), _compile(predicate))
+
+
+def chunk_all_match(stats_json: Optional[str], predicate) -> bool:
+    """:func:`_all` over a raw ``stats_json`` string."""
+    return _all(parse_stats(stats_json), _compile(predicate))
 
 
 def decode_chunk_row(row: dict, verify_checksum: bool = True,
@@ -349,83 +477,6 @@ def decode_chunk_row(row: dict, verify_checksum: bool = True,
     return pa.Table.from_arrays(arrays, schema=pa.schema(fields))
 
 
-def chunk_all_match(stats_json: Optional[str],
-                    predicate: Tuple[str, str, object]) -> bool:
-    """True only when the chunk's [min, max] PROVES every row matches
-    — the COUNT-pushdown fast path (count n_rows without touching the
-    payload).  Requires a zone entry, a comparable bound, and a
-    proven-zero null count (nulls never satisfy a comparison, and
-    [min, max] is computed over non-nulls; chunks encoded before the
-    `__nulls__` side table simply never prove all-match)."""
-    if _is_node(predicate):
-        op = predicate[0]
-        if op == "and":
-            return all(chunk_all_match(stats_json, k) for k in predicate[1:])
-        if op == "or":
-            # sound (not complete): one branch proving every row is
-            # enough; cross-branch row-level unions are unprovable
-            # from [min, max] alone
-            return any(chunk_all_match(stats_json, k) for k in predicate[1:])
-        # not: every row must FAIL p with a non-null outcome — p
-        # provably matches no row AND its columns are provably
-        # null-free (null comparisons are SQL-null, and NOT null is
-        # still not TRUE)
-        if not stats_json:
-            return False
-        if chunk_may_match(stats_json, predicate[1]):
-            return False
-        return _zero_nulls_proven(json.loads(stats_json),
-                                  predicate_columns(predicate[1]))
-    if not stats_json:
-        return False
-    col, op, val = predicate
-    stats = json.loads(stats_json)
-    if op == "is_null":
-        return False  # all-null chunks carry no provable entry
-    if op == "not_null":
-        return col in stats and _zero_nulls_proven(stats, [col])
-    if col not in stats:
-        return False
-    if "__nulls__" not in stats:
-        return False  # pre-__nulls__ chunk: zero nulls unprovable
-    if stats["__nulls__"].get(col):
-        return False
-    lo, hi = stats[col]
-    if op == "startswith":
-        # both endpoints carrying the prefix proves every row between
-        # them does too: lo >= v and hi < _str_upper(v) bound the whole
-        # band inside the prefix range (truncated lo stays safe — the
-        # true min is >= lo and <= hi, both inside the range)
-        return (isinstance(lo, str) and isinstance(hi, str)
-                and isinstance(val, str) and val != ""
-                and lo.startswith(val) and hi.startswith(val))
-    numeric = isinstance(lo, (int, float)) and isinstance(hi, (int, float))
-    if isinstance(lo, str) and isinstance(hi, str):
-        vals = val if op == "in" else [val]
-        if not all(isinstance(v, str) for v in vals):
-            return False
-        # a truncated string MIN is a lower bound, not the true min —
-        # good enough for ">=" proofs only when strictly above
-    elif not numeric:
-        return False
-    if op == "in":
-        return lo == hi and any(_predicate_value(x) == lo for x in val)
-    v = _predicate_value(val)
-    if op == "==":
-        return lo == v == hi
-    if op == "!=":
-        return hi < v or lo > v
-    if op == ">":
-        return lo > v
-    if op == ">=":
-        return lo >= v
-    if op == "<":
-        return hi < v
-    if op == "<=":
-        return hi <= v
-    return False
-
-
 def _mask_3v(t: pa.Table, predicate):
     """SQL three-valued boolean mask (nulls preserved) for a predicate
     expression; None when any referenced column is absent (caller
@@ -490,6 +541,31 @@ def _exact_filter(t: pa.Table, predicate: Tuple[str, str, object]) -> pa.Table:
     return t if m is None else t.filter(m)
 
 
+def decode_live(batch: pa.Table, rows, columns, preds, del_masks: dict,
+                verify_checksum: bool = False):
+    """Yield chunk rows ``rows`` of ``batch`` decoded (projected to
+    ``columns``), with deleted rows masked out and every predicate in
+    ``preds`` applied exactly.  Chunks deleted whole, or left with no
+    rows, yield nothing — the one per-chunk decode loop of the read
+    paths."""
+    names = batch.column_names
+    for r in rows:
+        dmask = None
+        if del_masks:
+            dmask = del_masks.get((batch["fragment"][r].as_py(),
+                                   batch["chunk_id"][r].as_py()))
+            if isinstance(dmask, str):  # "all": whole chunk deleted
+                continue
+        row = {c: batch[c][r].as_py() for c in names}
+        t = decode_chunk_row(row, verify_checksum, columns)
+        if dmask is not None:
+            t = t.filter(pa.array(~dmask))
+        for p in preds:
+            t = _exact_filter(t, p)
+        if t.num_rows:
+            yield t
+
+
 class DecodeBatch:
     """map_batches callable: a batch of encoded chunk rows -> the
     concatenation of their decoded tables (optionally projected /
@@ -503,6 +579,7 @@ class DecodeBatch:
         # one predicate expression or a list AND'd together (leaves
         # and "and"/"or"/"not" nodes); each prunes via the zone maps
         self.predicates = normalize_predicates(predicate)
+        self._classifier = ChunkClassifier(self.predicates)
         self.verify_checksum = verify_checksum
         self.columns = list(columns) if columns is not None else None
         # predicate columns outside the projection still decode (the
@@ -530,31 +607,18 @@ class DecodeBatch:
             from ..pipelines.deletes import load_delete_masks
 
             del_masks = load_delete_masks(self.deletes_dir)
+        rows = range(len(batch))
+        if self.predicates and "stats_json" in batch.column_names:
+            # zone maps / Bloom filters prove the other chunks empty
+            rows = [r for r, sj in enumerate(batch["stats_json"].to_pylist())
+                    if self._classifier.may(parse_stats(sj))]
         tables = []
-        cols = batch.column_names
-        for r in range(len(batch)):
-            if self.predicates and "stats_json" in cols:
-                sj = batch["stats_json"][r].as_py()
-                if not all(chunk_may_match(sj, p) for p in self.predicates):
-                    continue  # zone map proves no row matches
-            dmask = None
-            if del_masks:
-                key = (batch["fragment"][r].as_py(),
-                       batch["chunk_id"][r].as_py())
-                dmask = del_masks.get(key)
-                if isinstance(dmask, str):  # "all": whole chunk deleted
-                    continue
-            row = {c: batch[c][r].as_py() for c in cols}
-            t = decode_chunk_row(row, self.verify_checksum, self._dec_cols)
-            if dmask is not None:
-                t = t.filter(pa.array(~dmask))
-            for p in self.predicates:
-                t = _exact_filter(t, p)
+        for t in decode_live(batch, rows, self._dec_cols, self.predicates,
+                             del_masks, self.verify_checksum):
             if self.columns is not None and t.column_names != self.columns:
                 t = t.select([c for c in self.columns
                               if c in t.column_names])
-            if t.num_rows:
-                tables.append(t)
+            tables.append(t)
         if not tables:
             return self._empty_like(batch)
         return pa.concat_tables(tables)

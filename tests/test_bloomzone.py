@@ -371,6 +371,33 @@ def test_approx_quantiles_pushdown(tmp_path, ray_session):
         approx_quantiles(out, "v", [1.5])
 
 
+def test_approx_quantiles_exact_above_2_53(tmp_path, ray_session):
+    """int64 values above 2^53 (where float64 has gaps of 2) come back
+    exact from full grids (quantile_k >= chunk rows) and from the
+    decode fallback alike; a float column is refused, not truncated."""
+    from colonnade_ray.pipelines import approx_quantiles, encode_corpus
+
+    n = 200
+    v = (1 << 60) + np.arange(n, dtype=np.int64) * 3 + 1
+    t = pa.table({"v": pa.array(v, pa.int64()),
+                  "f": pa.array(np.linspace(0.5, 9.5, n))})
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(t, src / "p0.parquet")
+    qs = [0.0, 0.25, 0.5, 0.9, 1.0]
+    want = [int(v[max(0, int(np.ceil(q * n)) - 1)]) for q in qs]
+    sketched = str(tmp_path / "sketched")
+    encode_corpus(str(src), sketched, batch_size=64,
+                  quantile_cols=["v"], quantile_k=64)
+    got, st = approx_quantiles(sketched, "v", qs, return_stats=True)
+    assert got == want and st["chunks_scanned"] == 0, st
+    plain = str(tmp_path / "plain")
+    encode_corpus(str(src), plain, batch_size=64)
+    assert approx_quantiles(plain, "v", qs) == want
+    with pytest.raises(ValueError, match="integer"):
+        approx_quantiles(plain, "f", qs)
+
+
 def test_grouped_approx_quantiles_pushdown(tmp_path, ray_session):
     """Per-group quantiles: metadata-only on a group-clustered layout
     with full grids (== DuckDB quantile_disc GROUP BY), exact via

@@ -689,22 +689,33 @@ def test_zone_proof_properties():
     """Hypothesis: for any int column (with nulls) and any predicate,
     chunk_all_match=True implies EVERY non-null row matches and zero
     nulls; chunk_may_match=False implies NO row matches.  The
-    metadata proofs must never mis-count."""
+    metadata proofs must never mis-count.  An ``in`` list mixing
+    probeable (int) and unprobeable (bool, float) values, against the
+    chunk's Bloom filter, classifies exactly as the per-value probe
+    says."""
     import json as _json
 
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from colonnade_ray.stages.decode import chunk_all_match, chunk_may_match
+    from colonnade_ray.stages.bloomzone import build_bloom, probe_bloom
+    from colonnade_ray.stages.decode import (
+        ChunkClassifier,
+        chunk_all_match,
+        chunk_may_match,
+    )
 
     vals_s = st.lists(st.one_of(st.integers(-50, 50), st.none()),
                       min_size=1, max_size=30)
     op_s = st.sampled_from(["==", "!=", ">", ">=", "<", "<=", "in"])
+    mixed_s = st.lists(st.one_of(st.integers(-55, 55), st.booleans(),
+                                 st.floats(-55, 55)),
+                       min_size=1, max_size=6)
 
     @settings(max_examples=300, deadline=None)
     @given(vals_s, op_s, st.integers(-55, 55),
-           st.lists(st.integers(-55, 55), min_size=1, max_size=4))
-    def prop(vals, op, v, vset):
+           st.lists(st.integers(-55, 55), min_size=1, max_size=4), mixed_s)
+    def prop(vals, op, v, vset, mixed):
         nn = [x for x in vals if x is not None]
         if not nn:
             return
@@ -728,7 +739,119 @@ def test_zone_proof_properties():
         if not chunk_may_match(sj, pred):
             assert not any(matches), (vals, pred)
 
+        ent = build_bloom(pa.array(nn, pa.int64()))
+        bloomed = dict(stats, __bloom__={"c": ent})
+        mpred = ("c", "in", mixed)
+        may = ChunkClassifier([mpred]).may(bloomed)
+        assert may == (chunk_may_match(sj, mpred)
+                       and any(probe_bloom(ent, x) for x in mixed)), \
+            (vals, mixed)
+        if not may:
+            assert not any(x == y for x in nn for y in mixed), (vals, mixed)
+
     prop()
+
+
+def test_chunk_planner_closed_form(tmp_path, ray_session, monkeypatch):
+    """n_tok = 0..1023 clustered into 16 chunks of 64 rows, so chunk j
+    holds exactly [64j, 64j + 63] and group g = n_tok // 128 spans two
+    whole chunks.  The plan's labels, the metadata-only answers and
+    the return_stats dicts all follow in closed form."""
+    from colonnade_ray.pipelines import (
+        aggregate_where,
+        approx_distinct,
+        approx_quantiles,
+        count_where,
+        delete_where,
+        grouped_approx_quantiles,
+        grouped_topk_where,
+        summary_where,
+        topk_where,
+    )
+    from colonnade_ray.pipelines import chunk_plan
+    from colonnade_ray.pipelines.chunk_plan import plan_chunks
+
+    n = 1024
+    v = np.arange(n)
+    t = pa.table({"doc_id": pa.array([f"d{i:05d}" for i in v]),
+                  "n_tok": pa.array(v, pa.int64()),
+                  "g": pa.array(v // 128, pa.int64())})
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(t.take(np.random.default_rng(3).permutation(n)),
+                   src / "p0.parquet")
+    out = str(tmp_path / "enc")
+    encode_corpus(str(src), out, batch_size=64, cluster_by="n_tok",
+                  hll_cols=["doc_id"], quantile_cols=["n_tok"],
+                  quantile_k=64)
+
+    band = [("n_tok", ">=", 100), ("n_tok", "<", 600)]
+    plan = plan_chunks(out, band)
+    # chunks 2..8 lie inside the band, 1 and 9 straddle an edge
+    assert (plan.n_none, len(plan.proven), len(plan.maybe)) == (7, 7, 2)
+    assert sorted(c.stats["n_tok"][0] for c in plan.maybe) == [64, 576]
+
+    # chunk-aligned band: every chunk none or proven -> no payload read
+    aligned = [("n_tok", ">=", 128), ("n_tok", "<", 576)]
+    plan = plan_chunks(out, aligned)
+    assert (plan.n_none, len(plan.proven), len(plan.maybe)) == (9, 7, 0)
+
+    def no_scan(*a, **k):
+        raise AssertionError("payload read on a metadata-only plan")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(chunk_plan, "scan_chunks", no_scan)
+        mp.setattr(chunk_plan, "_read_encoded", no_scan)
+        want = v[(v >= 128) & (v < 576)]
+        assert count_where(out, aligned) == want.size
+        assert aggregate_where(out, "sum", "n_tok", aligned) == want.sum()
+        assert aggregate_where(out, "min", "n_tok", aligned) == 128
+        assert aggregate_where(out, "max", "n_tok", aligned) == 575
+        assert summary_where(out, "n_tok", aligned) == {
+            "count": want.size, "sum": int(want.sum()),
+            "min": 128, "max": 575}
+
+    groups = len(plan.groups)
+    res, st = topk_where(out, "n_tok", k=10, return_stats=True)
+    assert res["n_tok"].to_pylist() == list(range(1023, 1013, -1))
+    assert st == {"chunks_total": 16, "chunks_candidate": 1,
+                  "groups_total": groups, "groups_candidate": 1,
+                  "threshold": 960}
+    # only proven chunks bound T: maybe chunk 9 reaches past it
+    res, st = topk_where(out, "n_tok", k=10, predicate=("n_tok", "<", 600),
+                         return_stats=True)
+    assert res["n_tok"].to_pylist() == list(range(599, 589, -1))
+    assert st == {"chunks_total": 10, "chunks_candidate": 2,
+                  "groups_total": groups, "groups_candidate": 1,
+                  "threshold": 512}
+
+    est, st = approx_distinct(out, "doc_id", predicate=band,
+                              return_stats=True)
+    assert abs(est - 500) <= 0.1 * 500
+    assert st == {"chunks_total": 9, "chunks_sketched": 7,
+                  "chunks_scanned": 2}
+    got, st = approx_quantiles(out, "n_tok", [0.5], predicate=band,
+                               return_stats=True)
+    assert got == [349]  # quantile_disc of 100..599
+    assert st == {"chunks_total": 9, "chunks_sketched": 7,
+                  "chunks_scanned": 2}
+    got, st = grouped_approx_quantiles(out, "g", "n_tok", [0.5],
+                                       return_stats=True)
+    assert got["value"].tolist() == [128 * g + 63 for g in range(8)]
+    assert st == {"chunks_sketched": 16, "chunks_scanned": 0}
+    got, st = grouped_topk_where(out, "g", "n_tok", k=3, return_stats=True)
+    assert got["n_tok"].to_pylist() == [
+        x for g in range(8) for x in (128 * g + 127, 128 * g + 126,
+                                      128 * g + 125)]
+    assert st == {"chunks_total": 16, "chunks_candidate": 8,
+                  "chunks_mixed": 0}
+
+    # a chunk deleted whole folds into none; a partial mask rides along
+    delete_where(out, ("n_tok", "<", 64))
+    delete_where(out, ("n_tok", "==", 70))
+    plan = plan_chunks(out, None)
+    assert (plan.n_none, len(plan.proven), len(plan.maybe)) == (1, 15, 0)
+    assert sorted(c.n_live for c in plan.proven)[:2] == [63, 64]
 
 
 def test_cluster_by_narrows_zone_bands(corpus_dir, tmp_path, ray_session):
