@@ -410,7 +410,7 @@ def q_media_features(sf_dir: str):
 
 
 def q_encode_roundtrip(sf_dir: str):
-    """Flagship: tokenize -> skew-partitioned encode (actor pool) ->
+    """Flagship: tokenize -> skew-partitioned encode (stateless tasks) ->
     decode -> order-free bit-identical verify; returns the summary +
     verification row."""
     import ray.data as rd

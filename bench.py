@@ -195,11 +195,11 @@ def run_bench() -> dict:
         t0 = time.time()
         # Flagship = NO global exchange (round-3 A/B at sf0.1/32cpus:
         # shuffled 7.3 s / 0.9721 B/token vs unshuffled 4.0 s / 0.9677 —
-        # the all-to-all buys nothing here because encoder actors
-        # recover per-source codec locality from their own state, and
-        # at 100 TB an avoidable full-corpus exchange is the #1
-        # scale-killer).  GRAFT_BENCH_SHUFFLE=1 re-enables the
-        # size-aware source shuffle for A/B.
+        # the all-to-all buys nothing here because per-chunk FSST
+        # training recovers source locality, and at 100 TB an
+        # avoidable full-corpus exchange is the #1 scale-killer).
+        # GRAFT_BENCH_SHUFFLE=1 re-enables the size-aware source
+        # shuffle for A/B.
         summary = encode_corpus(
             corpus_dir, out_dir, batch_size=8192,
             partition_by="source" if os.environ.get("GRAFT_BENCH_SHUFFLE") == "1" else None,
@@ -433,8 +433,8 @@ def run_scaling() -> dict:
             "taskset-pinned to exactly N physical vCPUs, so an N-CPU level is a "
             "faithful N-vCPU node and the low level cannot borrow the idle box's "
             "cache/memory system (round-2 verdict measurement-design fix). "
-            "Flagship = no-global-exchange encode (read -> fused prep -> actor "
-            "pool -> write); shuffled_variant_* = the optional "
+            "Flagship = no-global-exchange encode (read -> fused prep -> "
+            "encode -> write, one task per read block); shuffled_variant_* = the optional "
             "partition_by='source' all-to-all on the same pair."
         ),
         "sf": r_lo["sf"],

@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .base import ChunkStats, Encoded, code_dtype, dtype_code, int_stats
-from .fsst import FsstCodec
+from .fsst import FsstCodec, train_merges
 from .ints import INT_CODECS
 
 # deterministic candidate order = selector tie-break order
@@ -341,13 +341,13 @@ def _validity_bitmap_buffer(vmask: Optional[np.ndarray]):
     return pa.py_buffer(np.packbits(vmask, bitorder="little")), int((~vmask).sum())
 
 
-def _encode_dictionary(arr: pa.Array, fsst=None, forced=None) -> tuple[dict, list]:
+def _encode_dictionary(arr: pa.Array, forced=None) -> tuple[dict, list]:
     """Dictionary-typed input (common from parquet readers): encode the
     index stream and the dictionary values independently so the exact
     dictionary (contents AND order) round-trips."""
     ind = arr.indices
     imeta, iparts = _encode_primitive(ind, forced)
-    dmeta, dparts = encode_column_chunk(arr.dictionary, fsst=fsst)
+    dmeta, dparts = encode_column_chunk(arr.dictionary)
     return (
         {"kind": "dict_wrap", "indices": imeta, "dictionary": dmeta,
          "dict_n": len(arr.dictionary)},
@@ -471,11 +471,11 @@ def _decode_fixed_list(meta: dict, parts: list, atype: pa.DataType, n: int) -> p
     return pa.Array.from_buffers(atype, n, [vbuf], null_count=nulls, children=[child])
 
 
-def _encode_struct(arr: pa.Array, fsst=None, forced=None) -> tuple[dict, list]:
+def _encode_struct(arr: pa.Array, forced=None) -> tuple[dict, list]:
     validity, vparts = _validity_stream(arr)
     fmetas, parts = [], list(vparts)
     for i in range(arr.type.num_fields):
-        fmeta, fparts = encode_column_chunk(arr.field(i), fsst=fsst, forced=forced)
+        fmeta, fparts = encode_column_chunk(arr.field(i), forced=forced)
         fmetas.append(fmeta)
         parts += fparts
     return {"kind": "struct", "streams": {"validity": validity}, "fields": fmetas}, parts
@@ -706,7 +706,7 @@ def _detect_prefix_int_pattern(lengths: np.ndarray, data: bytes):
     return bytes(mat[0, :p]), W, vals
 
 
-def _encode_string(arr: pa.Array, fsst: Optional[FsstCodec] = None) -> tuple[dict, list]:
+def _encode_string(arr: pa.Array) -> tuple[dict, list]:
     validity, vparts = _validity_stream(arr)
     filled = _fill_nulls(arr)
     n = len(filled)
@@ -735,32 +735,23 @@ def _encode_string(arr: pa.Array, fsst: Optional[FsstCodec] = None) -> tuple[dic
         codes = dictized.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         dict_vals = dictized.dictionary
         centry, cparts = _emit(encode_int_stream(codes))
-        dmeta, dparts = _encode_string_raw(dict_vals, fsst)
+        dmeta, dparts = _encode_string_raw(dict_vals)
         meta["strategy"] = "dict"
         meta["streams"]["codes"] = centry
         meta["dict"] = dmeta
         return meta, parts + cparts + dparts
-    rmeta, rparts = _encode_string_raw(filled, fsst)
+    rmeta, rparts = _encode_string_raw(filled)
     meta["strategy"] = "raw"
     meta["raw"] = rmeta
     return meta, parts + rparts
 
 
-def _encode_string_raw(arr: pa.Array, fsst: Optional[FsstCodec]) -> tuple[dict, list]:
+def _encode_string_raw(arr: pa.Array) -> tuple[dict, list]:
     lengths, data = _string_buffers(arr)
     lentry, lparts = _emit(encode_int_stream(lengths))
     sample = data[:_STR_SAMPLE_BYTES]
-    codec = fsst or FsstCodec()
-    if codec.shared_merges is None and len(sample):
-        from .fsst import train_merges
-
-        if fsst is not None:
-            # warm the caller's cache (EncoderActor shares tables
-            # across batches of the same (column, source))
-            fsst.shared_merges = train_merges(sample)
-            codec = fsst
-        else:
-            codec = FsstCodec(train_merges(sample))  # per-chunk, deterministic
+    # per-chunk table, trained once for both the estimate and the encode
+    codec = FsstCodec(train_merges(sample) if len(sample) else None)
     est_fsst = codec.estimate_bytes(sample, len(data))
     if est_fsst < len(data):
         denc = codec.encode(data, sample=sample)
@@ -927,8 +918,7 @@ def _decode_list(meta: dict, parts: list, atype: pa.DataType, n: int,
 # Public chunk API
 
 
-def encode_column_chunk(arr, fsst: Optional[FsstCodec] = None,
-                        forced: Optional[str] = None,
+def encode_column_chunk(arr, forced: Optional[str] = None,
                         shared_int=None,
                         lengths_ref: Optional[str] = None) -> tuple[dict, list]:
     """Arrow array/chunked-array -> (meta dict, ordered payload parts).
@@ -944,7 +934,7 @@ def encode_column_chunk(arr, fsst: Optional[FsstCodec] = None,
         arr = arr.combine_chunks()
     t = arr.type
     if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t):
-        meta, parts = _encode_string(arr, fsst)
+        meta, parts = _encode_string(arr)
     elif pa.types.is_list(t) or pa.types.is_large_list(t):
         meta, parts = _encode_list(arr, forced, shared_int, lengths_ref)
     elif (pa.types.is_time32(t) or pa.types.is_time64(t) or pa.types.is_duration(t)
@@ -961,13 +951,13 @@ def encode_column_chunk(arr, fsst: Optional[FsstCodec] = None,
             "decimal256 needs a 4-word path)"
         )
     elif pa.types.is_dictionary(t):
-        meta, parts = _encode_dictionary(arr, fsst, forced)
+        meta, parts = _encode_dictionary(arr, forced)
     elif pa.types.is_fixed_size_binary(t):
         meta, parts = _encode_fixed_binary(arr)
     elif pa.types.is_fixed_size_list(t):
         meta, parts = _encode_fixed_list(arr, forced)
     elif pa.types.is_struct(t):
-        meta, parts = _encode_struct(arr, fsst, forced)
+        meta, parts = _encode_struct(arr, forced)
     else:
         meta, parts = _encode_primitive(arr, forced, shared_int)
     meta["atype"] = type_to_desc(t)
@@ -996,12 +986,11 @@ def decode_column_chunk(meta: dict, parts: list, n: Optional[int] = None,
     return _decode_primitive(meta, parts, atype, n)
 
 
-def encode_column(arr, fsst: Optional[FsstCodec] = None,
-                  forced: Optional[str] = None,
+def encode_column(arr, forced: Optional[str] = None,
                   shared_int=None,
                   lengths_ref: Optional[str] = None) -> tuple[bytes, dict]:
     """Pack to a single payload buffer + self-describing meta."""
-    meta, parts = encode_column_chunk(arr, fsst, forced, shared_int, lengths_ref)
+    meta, parts = encode_column_chunk(arr, forced, shared_int, lengths_ref)
     meta["total_lens"] = [len(p) for p in parts]
     return b"".join(bytes(p) for p in parts), meta
 

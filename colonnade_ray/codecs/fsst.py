@@ -128,9 +128,8 @@ class FsstCodec(Codec):
     name = "fsst"
 
     def __init__(self, merges: Optional[list] = None):
-        # a pre-trained table may be injected by an encoder actor that
-        # shares tables across batches of the same source group
-        self.shared_merges = merges
+        # None trains a table on each call's sample
+        self.merges = merges
 
     # byte-stream estimate works on a trial sample, not ChunkStats —
     # see strings.py which calls estimate_bytes directly.
@@ -140,7 +139,7 @@ class FsstCodec(Codec):
     def estimate_bytes(self, sample: bytes, total_len: int) -> int:
         if len(sample) == 0:
             return 64
-        merges = self.shared_merges or train_merges(sample)
+        merges = self.merges or train_merges(sample)
         if not merges:
             return total_len + 64
         codes = apply_merges(sample, merges)
@@ -149,7 +148,7 @@ class FsstCodec(Codec):
         return int(total_len * ratio * 1.1) + 4 * len(merges) + 64
 
     def encode(self, data: bytes, sample: Optional[bytes] = None) -> Encoded:
-        merges = self.shared_merges
+        merges = self.merges
         if merges is None:
             merges = train_merges(sample if sample is not None else data)
         codes = apply_merges(data, merges)

@@ -1,12 +1,13 @@
 """Corpus-global shared integer dictionaries.
 
-The dictionary analog of ``FsstCodec.shared_merges`` reuse (north
-star: encoder actors/tasks "build and reuse FSST symbol tables and
-dictionaries across batches") — and the lever behind the engine's
-last compression gap: a per-chunk token dictionary costs ~45 KB per
-~1.75M-token chunk (~0.026 B/token, measured at sf0.1), which is most
-of the distance between dict_rans (0.900 B/token on the token stream)
-and the corpus order-0 entropy (0.862 B/token).
+The north star's "build and reuse ... dictionaries across batches",
+made deterministic (tables are trained once by a pre-pass and pinned,
+so every encode task sees the same fixed input) — and the lever
+behind the engine's last compression gap: a per-chunk token
+dictionary costs ~45 KB per ~1.75M-token chunk (~0.026 B/token,
+measured at sf0.1), which is most of the distance between dict_rans
+(0.900 B/token on the token stream) and the corpus order-0 entropy
+(0.862 B/token).
 
 Mechanics:
 

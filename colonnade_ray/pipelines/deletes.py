@@ -357,7 +357,7 @@ class _RewriteChunks:
             bound = bind_plan(plan, t.schema)
             # re-derive sketches for the surviving rows (the corpus's
             # recorded sketch config) so pruning survives the vacuum
-            enc = encode_chunk(t, bound, None, frag, shared_dicts=shared,
+            enc = encode_chunk(t, bound, frag, shared_dicts=shared,
                                bloom_cols=sk.get("bloom_cols"),
                                hll_cols=sk.get("hll_cols"),
                                quantile_cols=sk.get("quantile_cols"),

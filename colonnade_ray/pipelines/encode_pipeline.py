@@ -3,13 +3,15 @@ lineage and exact resume.
 
 Flagship lifecycle (graft of the reference's top entry points traced
 in SURVEY.md §3: encodeCsvStreamUtf8 / decodeHeadedCsvUtf8 — header
-once per stream ≙ manifest once per partition; suspended parse state ≙
-actor state; row-coordinate errors ≙ lineage records):
+once per stream ≙ manifest once per partition; row-coordinate errors
+≙ lineage records):
 
     read_parquet(fragments, include_paths=True)
       -> [optional groupby-on-source + size-aware shuffle]
-      -> map_batches(EncoderActor, batch_format="pyarrow",
-                     concurrency=N)           # actor pool, stateful
+      -> map_batches(encode_batch, batch_format="pyarrow")
+                                              # stateless tasks, fused
+                                              #   into the read when
+                                              #   there is no shuffle
       -> write_parquet(out/data/group=G)      # uncompressed parquet:
                                               #   payload columns carry
                                               #   OUR compression
@@ -33,7 +35,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..stages.decode import DecodeBatch
-from ..stages.encode import EncoderActor, encode_batch
+from ..stages.encode import encode_batch
 from ..stages.skew import (
     DEFAULT_TOKEN_BUDGET,
     PKEY,
@@ -236,9 +238,6 @@ def encode_dataset(
     ds,
     plan_names: Optional[Sequence[str]] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    concurrency=None,
-    shared_fsst: bool = True,
-    stateless: bool = False,
     transport: Optional[dict] = None,
     fragments: Optional[Sequence[str]] = None,
     post_compress: Optional[str] = None,
@@ -250,61 +249,37 @@ def encode_dataset(
 ):
     """Dataset of raw rows -> Dataset of encoded chunk rows (lazy).
 
+    One stateless ``encode_batch`` map: with no exchange upstream it
+    fuses into the read task (read -> prep -> encode -> write is one
+    task per read block); after the skew shuffle it runs as plain
+    tasks over the sorted blocks.  Either way a chunk's bytes depend
+    only on its rows.
+
     ``transport``: spec from ``stages.transport.list_transport_spec``
     when the upstream stage packed list columns for the exchange; the
     encoder widens them back before encoding (bit-transparent).
     """
-    if stateless:
-        frag_names = list(fragments) if fragments else None
+    frag_names = list(fragments) if fragments else None
 
-        def _stateless(b: pa.Table) -> dict:
-            if transport:
-                from ..stages.transport import unpack_list_columns
+    def _encode(b: pa.Table) -> dict:
+        if transport:
+            from ..stages.transport import unpack_list_columns
 
-                b = unpack_list_columns(b, transport)
-            return encode_batch(
-                b, list(plan_names) if plan_names else None, frag_names,
-                post_compress=post_compress, shared_dicts=shared_dicts,
-                bloom_cols=list(bloom_cols) if bloom_cols else None,
-                hll_cols=list(hll_cols) if hll_cols else None,
-                quantile_cols=list(quantile_cols) if quantile_cols else None,
-                quantile_k=quantile_k,
-            )
-
-        return ds.map_batches(
-            _stateless,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            zero_copy_batch=True,
+            b = unpack_list_columns(b, transport)
+        return encode_batch(
+            b, list(plan_names) if plan_names else None, frag_names,
+            post_compress=post_compress, shared_dicts=shared_dicts,
+            bloom_cols=list(bloom_cols) if bloom_cols else None,
+            hll_cols=list(hll_cols) if hll_cols else None,
+            quantile_cols=list(quantile_cols) if quantile_cols else None,
+            quantile_k=quantile_k,
         )
-    if concurrency is None:
-        # FIXED-size pool at ~3/4 of effective CPUs: the remaining 1/4
-        # is the read/shuffle/write headroom.  An autoscaling (4, N)
-        # pool pays scale-up lag exactly when N is large — the
-        # high-CPU runs started at 4 actors while the low-CPU runs
-        # started full-size, biasing measured scaling efficiency.
-        from ..util import default_concurrency
 
-        concurrency = default_concurrency()
-    kwargs = {"concurrency": concurrency}
     return ds.map_batches(
-        EncoderActor,
-        fn_constructor_kwargs={
-            "plan_names": list(plan_names) if plan_names else None,
-            "shared_fsst": shared_fsst,
-            "transport": transport,
-            "fragments": list(fragments) if fragments else None,
-            "post_compress": post_compress,
-            "shared_dicts": shared_dicts,
-            "bloom_cols": list(bloom_cols) if bloom_cols else None,
-            "hll_cols": list(hll_cols) if hll_cols else None,
-            "quantile_cols": list(quantile_cols) if quantile_cols else None,
-            "quantile_k": quantile_k,
-        },
+        _encode,
         batch_format="pyarrow",
         batch_size=batch_size,
         zero_copy_batch=True,
-        **kwargs,
     )
 
 
@@ -468,15 +443,12 @@ def encode_corpus(
     out_dir: str,
     plan_names: Optional[Sequence[str]] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    concurrency=None,
     partition_by: Optional[str] = None,   # "source" enables the skew shuffle
     token_budget: int = DEFAULT_TOKEN_BUDGET,
     group_size: Optional[int] = None,     # fragments per commit group; None = one group
     resume: bool = True,
-    shared_fsst: bool = True,
     max_concurrent_groups: int = 1,
     transport: bool = True,
-    stateless: Optional[bool] = None,
     append: bool = False,
     post_compress: Optional[str] = None,
     cluster_by: Optional[str | Sequence[str]] = None,  # list => Z-order
@@ -490,7 +462,7 @@ def encode_corpus(
 
     ``shared_dicts``: run the deterministic dictionary pre-pass
     (``train_shared_dicts``) and broadcast the tables into every
-    encode task/actor — chunks then store ranks + extras instead of a
+    encode task — chunks then store ranks + extras instead of a
     per-chunk dictionary (codecs/shared_dict.py).
 
     Groups are independent pipelines (own read -> shuffle -> encode ->
@@ -613,7 +585,7 @@ def encode_corpus(
         # footer-proven minimal width BEFORE anything leaves the read
         # task (the pack map fuses into ReadParquet), so every
         # object-store / shuffle hop moves the narrow form; the encoder
-        # actor widens back.  Halves exchange bytes on 16-bit vocabs.
+        # task widens back.  Halves exchange bytes on 16-bit vocabs.
         spec = (
             list_transport_spec(g)
             if transport and plan_names is None  # explicit plans may rename/retype
@@ -675,23 +647,18 @@ def encode_corpus(
             totals = source_token_totals(g)
             ds = partition_by_source(ds, salt_counts(totals, token_budget))
             ds = ds.drop_columns([PKEY])
-        # Stateless tasks (default when there is no exchange): the whole
+        # Stateless tasks on every path: without an exchange the whole
         # chain read -> prep -> encode -> write fuses into ONE task per
         # read block — no actor pool to starve behind read/write tasks,
         # no object-store hop for the raw rows, elastic scheduling.
         # Measured on 8 pinned vCPUs the raw kernel runs 72M tok/s
-        # 6-way while the actor-pool pipeline read 32M: the pool was
-        # the bottleneck, not the codec.  Actors remain for the
-        # partitioned path, where the exchange already materializes
-        # blocks and per-(column, source) FSST reuse pays.
-        use_stateless = (
-            stateless if stateless is not None else partition_by is None
-        )
+        # 6-way while an actor-pool encode read 32M: the pool was the
+        # bottleneck, not the codec.
         enc = encode_dataset(
-            ds, plan_names, batch_size, concurrency, shared_fsst=shared_fsst,
+            ds, plan_names, batch_size,
             transport=spec or None, fragments=frag_names,
-            stateless=use_stateless, post_compress=post_compress,
-            shared_dicts=sd_ref, bloom_cols=bloom_cols, hll_cols=hll_cols,
+            post_compress=post_compress, shared_dicts=sd_ref,
+            bloom_cols=bloom_cols, hll_cols=hll_cols,
             quantile_cols=quantile_cols, quantile_k=quantile_k,
         )
         enc.write_parquet(gdir, compression="none", row_group_size=1)

@@ -639,7 +639,7 @@ class _UpdateChunks:
             bound = bind_plan(plan, new_t.schema)
             # re-derive the corpus's recorded sketches over the new
             # values — a stale bloom/HLL must never survive an update
-            enc = encode_chunk(new_t, bound, None, row["fragment"],
+            enc = encode_chunk(new_t, bound, row["fragment"],
                                shared_dicts=shared,
                                bloom_cols=sk.get("bloom_cols"),
                                hll_cols=sk.get("hll_cols"),

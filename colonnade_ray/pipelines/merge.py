@@ -127,8 +127,7 @@ def _merge_rows_unlocked(out_dir: str, inputs, key: str,
     already = _already(out_dir)
     fresh = [f for f in files if f not in already]
     # commit point A: the appended group's lineage marker
-    encode_corpus(files, out_dir, append=True,
-                  concurrency=concurrency, **encode_kwargs)
+    encode_corpus(files, out_dir, append=True, **encode_kwargs)
 
     # commit point B: mask the superseded versions everywhere EXCEPT
     # the group(s) covering the merge batch itself.  Scope comes from

@@ -7,13 +7,11 @@ encode function to the unit of work, fold the results into the output
 block*.  Here the unit is a zero-copy Arrow batch and the fold is
 column-wise, vectorized.
 
-``EncoderActor`` is the stateful form for
-``map_batches(EncoderActor, concurrency=N, batch_format="pyarrow")``:
-FSST symbol tables are trained once per (column, source) key and
-reused across batches (SURVEY.md §7 step 4 — the graft of the
-suspended cross-chunk parser state, siphon/src/Siphon.hs:666-670,
-re-homed into actor state).  ``encode_batch`` is the stateless task
-form (strictly deterministic: tables are trained per chunk).
+``encode_batch`` is the one encode stage: a stateless
+``map_batches`` task, fused into the read task when no shuffle
+precedes it.  Chunk bytes are a function of the chunk's rows and the
+pinned shared dictionaries only — FSST symbol tables are trained on a
+sample of each chunk (FSST, VLDB 2020), never carried across batches.
 
 Output layout (one row per input chunk):
   fragment, chunk_id, n_rows, n_tokens, bytes_in, bytes_out,
@@ -28,10 +26,9 @@ import hashlib
 import json
 from typing import Optional, Sequence
 
-import numpy as np
 import pyarrow as pa
 
-from ..codecs import FsstCodec, encode_column
+from ..codecs import encode_column
 from ..codecs.columns import select_int_codec  # noqa: F401 (re-export for stats tools)
 from ..plan import BoundPlan, CodecPlan, bind_plan
 
@@ -151,7 +148,6 @@ def _lengths_ref_hints(batch: pa.Table, bound: BoundPlan) -> dict:
 def encode_chunk(
     batch: pa.Table,
     bound: BoundPlan,
-    fsst_codecs: Optional[dict] = None,
     fragment: str = "",
     post_compress: Optional[str] = None,
     shared_dicts: Optional[dict] = None,
@@ -188,8 +184,7 @@ def encode_chunk(
     for i, bc in enumerate(bound.columns):
         arr = batch.column(bc.index)
         bytes_in += arr.nbytes
-        fsst = (fsst_codecs or {}).get(bc.field.name)
-        payload, meta = encode_column(arr, fsst=fsst, forced=bc.plan.forced_codec,
+        payload, meta = encode_column(arr, forced=bc.plan.forced_codec,
                                       shared_int=(shared_dicts or {}).get(bc.field.name),
                                       lengths_ref=lengths_refs.get(bc.field.name))
         if zcodec is not None and len(payload) > 64:
@@ -320,96 +315,6 @@ def _strip_sys(batch: pa.Table) -> pa.Table:
     return batch.drop_columns(drop) if drop else batch
 
 
-class EncoderActor:
-    """Stateful encode stage for an actor pool.
-
-    __init__ runs once per actor (plan parse, caches); __call__ per
-    batch.  FSST tables are cached per (column, source) so the symbol
-    table build — inherently sequential, FSST paper §4 — is amortized
-    across every batch of that source this actor sees.
-    """
-
-    def __init__(
-        self,
-        plan_names: Optional[list] = None,
-        shared_fsst: bool = True,
-        transport: Optional[dict] = None,
-        fragments: Optional[list] = None,
-        post_compress: Optional[str] = None,
-        shared_dicts=None,
-        bloom_cols: Optional[list] = None,
-        hll_cols: Optional[list] = None,
-        quantile_cols: Optional[list] = None,
-        quantile_k: int = 256,
-    ):
-        self._post_compress = post_compress
-        self._bloom_cols = list(bloom_cols) if bloom_cols else None
-        self._hll_cols = list(hll_cols) if hll_cols else None
-        self._quantile_cols = list(quantile_cols) if quantile_cols else None
-        self._quantile_k = quantile_k
-        self._shared_dicts = _resolve_shared_dicts(shared_dicts)
-        self._plan_names = plan_names
-        self._shared_fsst = shared_fsst
-        self._transport = transport or {}
-        self._fragments = fragments
-        self._bound: Optional[BoundPlan] = None
-        self._bound_schema: Optional[pa.Schema] = None
-        # LRU-bounded (round-2 What's-wrong #4): one FsstCodec per
-        # (column, source) is fine at tens of sources but monotonic at
-        # a 100k-source corpus; dict preserves insertion order, so
-        # move-to-end + popitem(last=False)-style eviction is O(1).
-        self._fsst_cache: dict = {}
-        self._fsst_cache_cap = 256
-
-    def _bind(self, schema: pa.Schema) -> BoundPlan:
-        if self._bound is None or self._bound_schema != schema:
-            plan = (
-                CodecPlan.by_name(*self._plan_names)
-                if self._plan_names
-                else CodecPlan.from_schema(schema)
-            )
-            self._bound = bind_plan(plan, schema)
-            self._bound_schema = schema
-        return self._bound
-
-    def _fsst_for(self, batch: pa.Table, bound: BoundPlan) -> dict:
-        if not self._shared_fsst:
-            return {}
-        src = ""
-        if "source" in batch.column_names and len(batch) > 0:
-            s = batch["source"][0].as_py()
-            src = s if s is not None else ""
-        codecs = {}
-        for bc in bound.columns:
-            t = bc.field.type
-            if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t):
-                key = (bc.field.name, src)
-                if key in self._fsst_cache:
-                    self._fsst_cache[key] = self._fsst_cache.pop(key)  # mark recent
-                else:
-                    while len(self._fsst_cache) >= self._fsst_cache_cap:
-                        self._fsst_cache.pop(next(iter(self._fsst_cache)))
-                    self._fsst_cache[key] = FsstCodec()  # trained lazily on first chunk
-                codecs[bc.field.name] = self._fsst_cache[key]
-        return codecs
-
-    def __call__(self, batch: pa.Table) -> dict:
-        fragment = _fragment_of(batch, self._fragments)
-        if self._transport:
-            from .transport import unpack_list_columns
-
-            batch = unpack_list_columns(batch, self._transport)
-        data = _strip_sys(batch)
-        bound = self._bind(data.schema)
-        return encode_chunk(data, bound, self._fsst_for(data, bound), fragment,
-                            post_compress=self._post_compress,
-                            shared_dicts=self._shared_dicts,
-                            bloom_cols=self._bloom_cols,
-                            hll_cols=self._hll_cols,
-                            quantile_cols=self._quantile_cols,
-                            quantile_k=self._quantile_k)
-
-
 def encode_batch(batch: pa.Table, plan_names: Optional[list] = None,
                  fragments: Optional[list] = None,
                  post_compress: Optional[str] = None,
@@ -418,15 +323,15 @@ def encode_batch(batch: pa.Table, plan_names: Optional[list] = None,
                  hll_cols: Optional[list] = None,
                  quantile_cols: Optional[list] = None,
                  quantile_k: int = 256) -> dict:
-    """Stateless task form — strictly deterministic (FSST tables
-    trained per chunk; ``shared_dicts`` are PRE-trained fixed inputs,
-    so they keep the determinism contract), used where bit-identical
-    re-execution matters more than amortized table builds."""
+    """One raw batch -> one encoded chunk row.  Strictly deterministic:
+    FSST tables are trained per chunk, and ``shared_dicts`` are
+    pre-trained fixed inputs, so re-encoding a chunk's rows reproduces
+    its bytes (and a retried task its output)."""
     fragment = _fragment_of(batch, fragments)
     data = _strip_sys(batch)
     plan = CodecPlan.by_name(*plan_names) if plan_names else CodecPlan.from_schema(data.schema)
     bound = bind_plan(plan, data.schema)
-    return encode_chunk(data, bound, None, fragment,
+    return encode_chunk(data, bound, fragment,
                         post_compress=post_compress,
                         shared_dicts=_resolve_shared_dicts(shared_dicts),
                         bloom_cols=bloom_cols, hll_cols=hll_cols,

@@ -15,7 +15,8 @@ token arrays").  The reference is sequential so this is pure design
    in one.
 3. One range-partition shuffle on the salted key (``ds.sort``) makes
    every downstream encoder batch single-source and size-bounded, so
-   actor-pool FSST/dict tables hit and no block dwarfs its peers.
+   each chunk's own FSST table and dictionaries see one source's
+   vocabulary and no block dwarfs its peers.
 
 Partitioning assumption documented per SURVEY.md: downstream stages
 rely on batches being runs of a single (source, salt) bucket; they

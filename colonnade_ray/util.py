@@ -22,8 +22,10 @@ def effective_cpus() -> int:
 
 
 def default_concurrency(floor: int = 1) -> int:
-    """Actor-pool size: ~3/4 of effective CPUs, leaving proportional
-    headroom for the read/shuffle/write stages.  Proportional (not
+    """Cap on concurrent tasks (or actors) of one heavy map stage —
+    decode, verify and the functions layer: ~3/4 of effective CPUs,
+    leaving proportional headroom for the read/shuffle/write stages.
+    Encode sets no cap (its tasks fuse into the read).  Proportional (not
     CPUs-minus-constant) so that scaling runs at different CPU counts
     give every stage the same resource SHARE — constant headroom makes
     small-CPU runs under-provision the pool and distorts measured

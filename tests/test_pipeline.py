@@ -101,18 +101,110 @@ def test_torn_write_reencoded(corpus_dir, tmp_path, ray_session):
     assert res["match"]
 
 
-def test_source_partitioned_encode(corpus_dir, tmp_path, ray_session):
-    """The mandated groupby-on-source + size-aware shuffle path."""
+def _text_corpus(d, files: int = 3, rows: int = 400) -> str:
+    """F1 shards plus a free-text column of 12 Zipf-drawn words, so
+    every chunk's string column is FSST-coded with its own table."""
+    rng = np.random.default_rng(5)
+    vocab = ["".join(rng.choice(list("etaoinshrdlucmfw"), size=k))
+             for k in rng.integers(3, 10, size=2000)]
+    os.makedirs(d, exist_ok=True)
+    for i in range(files):
+        t = synth_rows(rows, seed=100 + i, start_id=i * rows)
+        words = (rng.zipf(1.3, size=(rows, 12)) - 1) % len(vocab)
+        text = [" ".join(vocab[w] for w in r) for r in words]
+        pq.write_table(t.append_column("text", pa.array(text)),
+                       os.path.join(d, f"part-{i:03d}.parquet"))
+    return str(d)
+
+
+def test_source_partitioned_encode(tmp_path, ray_session):
+    """The mandated groupby-on-source + size-aware shuffle path, and
+    the determinism contract on it: every committed chunk's bytes are
+    a function of its own rows, so decoding a chunk and re-encoding
+    it with ``encode_batch`` reproduces its lineage checksum."""
     import ray.data as rd
 
+    from colonnade_ray.pipelines.encode_pipeline import load_pinned_dicts
+    from colonnade_ray.stages.decode import decode_chunk_row
+    from colonnade_ray.stages.encode import encode_batch
+
+    src = _text_corpus(tmp_path / "src")
     out = str(tmp_path / "enc")
-    s = encode_corpus(
-        corpus_dir, out, batch_size=256,
+    encode_corpus(
+        src, out, batch_size=128,
         partition_by="source", token_budget=50_000,
     )
     decoded = decode_corpus(out)
-    res = roundtrip_verify(rd.read_parquet(corpus_dir), decoded, F1_COLS)
+    res = roundtrip_verify(rd.read_parquet(src), decoded, F1_COLS + ["text"])
     assert res["match"], res
+
+    lineage = pq.read_table(os.path.join(out, "_lineage"))
+    dicts = load_pinned_dicts(out)
+    stored, again = [], []
+    for root, _, names in os.walk(os.path.join(out, "data")):
+        for name in sorted(n for n in names if n.endswith(".parquet")):
+            for row in pq.read_table(os.path.join(root, name)).to_pylist():
+                rows = decode_chunk_row(row)
+                enc = encode_batch(rows, shared_dicts=dicts)
+                stored.append(row["checksum"])
+                again.append(enc["checksum"][0])
+    assert len(stored) == lineage.num_rows > 3
+    assert sorted(stored) == sorted(lineage["checksum"].to_pylist())
+    bad = sum(a != b for a, b in zip(stored, again))
+    assert bad == 0, f"{bad} of {len(stored)} chunks do not re-encode to their checksum"
+
+
+_ONE_CPU_CHILD = r"""
+import os, sys
+import pyarrow.parquet as pq
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+import ray.data as rd
+rd.DataContext.get_current().enable_progress_bars = False
+from colonnade_ray.corpus import synth_rows
+from colonnade_ray.pipelines import decode_corpus, encode_corpus, roundtrip_verify
+src, out = sys.argv[1], sys.argv[2]
+os.makedirs(src)
+for i in range(2):
+    pq.write_table(synth_rows(200, seed=7 + i, start_id=i * 200),
+                   os.path.join(src, f"part-{i}.parquet"))
+s = encode_corpus(src, out, batch_size=128, partition_by="source",
+                  token_budget=20_000)
+res = roundtrip_verify(rd.read_parquet(src), decode_corpus(out),
+                       ["doc_id", "tokens", "n_tok", "source"])
+print("RESULT", s["rows"], res["match"])
+ray.shutdown()
+"""
+
+
+def test_source_partitioned_encode_one_cpu(tmp_path):
+    """The partitioned encode completes on a one-CPU Ray cluster: no
+    fixed encode pool may hold the only CPU while the read and sort
+    tasks it waits on starve.  Own subprocess and Ray session (the
+    suite's session has 4 CPUs); the whole process group, raylet
+    included, is killed if it overruns."""
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    p = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_CHILD, str(tmp_path / "src"),
+         str(tmp_path / "out")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env, start_new_session=True)
+    try:
+        stdout, stderr = p.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        pytest.fail("partitioned encode did not finish within 120 s "
+                    "on one CPU")
+    assert p.returncode == 0, stderr[-3000:]
+    assert "RESULT 400 True" in stdout, stdout[-2000:]
 
 
 def test_checksum_detects_corruption(corpus_dir, tmp_path, ray_session):
@@ -159,7 +251,7 @@ def test_concurrent_group_encode(corpus_dir, tmp_path, ray_session):
     out = str(tmp_path / "enc")
     s = encode_corpus(
         corpus_dir, out, batch_size=256, group_size=1,
-        max_concurrent_groups=3, concurrency=(1, 2),
+        max_concurrent_groups=3,
     )
     assert s["groups"] == 3 and s["resumed_groups"] == 0
     decoded = decode_corpus(out)

@@ -170,7 +170,7 @@ def test_typed_jsonl_feeds_encode_pipeline(tmp_path, ray_session):
         f'{{"name": "row{i}", "n": {i * 3}}}' for i in range(300)) + "\n")
     cols = [CsvColumn("name", pa.string()), CsvColumn("n", pa.int32())]
     ds = read_typed_jsonl(str(p), cols)
-    enc = encode_dataset(ds, batch_size=64, stateless=True)
+    enc = encode_dataset(ds, batch_size=64)
     back = decode_dataset(rd.from_arrow(pa.Table.from_pylist(
         enc.take_all()))).to_pandas().sort_values("n").reset_index(drop=True)
     assert back["name"].tolist() == [f"row{i}" for i in range(300)]
@@ -194,7 +194,7 @@ def test_typed_csv_feeds_encode_pipeline(tmp_path, ray_session):
             CsvColumn("n", pa.int32()),
             CsvColumn("score", pa.float64(), nullable=True)]
     ds = read_typed_csv(str(p), cols)
-    enc = encode_dataset(ds, batch_size=128, stateless=True)
+    enc = encode_dataset(ds, batch_size=128)
     back = decode_dataset(rd.from_arrow(pa.Table.from_pylist(
         enc.take_all()))).to_pandas().sort_values("n").reset_index(drop=True)
     assert len(back) == 500
