@@ -18,7 +18,7 @@ decode — graft of ``fromMaybe`` null handling
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa

@@ -200,7 +200,7 @@ def _delete_where_once(out_dir: str, predicate, concurrency=None,
         normalize_predicates,
         predicate_columns,
         predicate_json,
-        predicate_mask,
+        predicates_mask,
     )
     from ..util import default_concurrency
     from .chunk_plan import _plan, read_chunks
@@ -261,15 +261,7 @@ def _delete_where_once(out_dir: str, predicate, concurrency=None,
                 row = {c: batch[c][r].as_py() for c in names}
                 t = decode_chunk_row(row, verify_checksum=False,
                                      columns=cols)
-                m = np.ones(t.num_rows, dtype=bool)
-                for p in preds:
-                    pm = predicate_mask(t, p)
-                    if pm is None:
-                        m &= np.zeros(t.num_rows, dtype=bool)
-                    else:
-                        if isinstance(pm, pa.ChunkedArray):
-                            pm = pm.combine_chunks()
-                        m &= pm.to_numpy(zero_copy_only=False).astype(bool)
+                m = predicates_mask(t, preds)
                 nd = int(m.sum())
                 if nd == 0:
                     continue
@@ -307,66 +299,77 @@ def _delete_where_once(out_dir: str, predicate, concurrency=None,
             "rows_deleted": rows_deleted}
 
 
-class _RewriteChunks:
-    """Vacuum worker: encoded chunk rows -> re-encoded chunk rows with
-    deleted rows dropped.  Chunks with no mask move VERBATIM (no
-    decode, no re-encode — only the masked chunks of an affected
-    group pay); whole-chunk masks drop the row outright.
+class _ReencodeChunks:
+    """The one re-encoding chunk-row rewriter (update, vacuum and
+    restore).  ``edit(key, decode)`` decides each chunk, keyed by
+    ``(fragment, chunk_id)``: None copies the row VERBATIM (no decode,
+    no re-encode — only the edited chunks of a group pay); a table —
+    typically derived from ``decode()``, the chunk's verified full
+    decode — replaces its rows, re-encoded under the chunk's own plan,
+    the corpus's pinned shared dictionaries (so rewritten chunks stay
+    byte-compatible with untouched ones) and its recorded sketch
+    config (a stale bloom/HLL must never survive a rewrite); an empty
+    table drops the chunk."""
 
-    ``masks_dir`` overrides where the masks load from (default: the
-    corpus's live ``_deletes``): ``restore_snapshot`` rewrites pinned
-    chunks under the SNAPSHOT's mask copy."""
-
-    def __init__(self, out_dir: str, plan_names=None,
-                 masks_dir: Optional[str] = None):
+    def __init__(self, out_dir: str, edit):
         self.out_dir = out_dir
-        self.plan_names = plan_names
-        self.masks_dir = masks_dir
+        self.edit = edit
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..codecs.shared_dict import register_dir
         from ..plan import CodecPlan, bind_plan
         from ..stages.decode import decode_chunk_row
         from ..stages.encode import encode_chunk
-        from .encode_pipeline import load_pinned_dicts
+        from .encode_pipeline import load_pinned_dicts, sketch_cols
 
         register_dir(self.out_dir)
         shared = load_pinned_dicts(self.out_dir)
-        from .encode_pipeline import sketch_cols
-
         sk = sketch_cols(self.out_dir)
-        masks = load_delete_masks(self.masks_dir or self.out_dir)
         names = batch.column_names
         out_tables = []
         for r in range(len(batch)):
             frag = batch["fragment"][r].as_py()
-            cid = batch["chunk_id"][r].as_py()
-            dmask = masks.get((frag, cid))
-            if isinstance(dmask, str):
-                continue  # whole chunk deleted
-            if dmask is None:
-                out_tables.append(batch.slice(r, 1))  # untouched chunk
+            t = self.edit(
+                (frag, batch["chunk_id"][r].as_py()),
+                lambda r=r: decode_chunk_row(
+                    {c: batch[c][r].as_py() for c in names},
+                    verify_checksum=True))
+            if t is None:
+                out_tables.append(batch.slice(r, 1))
                 continue
-            row = {c: batch[c][r].as_py() for c in names}
-            t = decode_chunk_row(row, verify_checksum=True)
-            t = t.filter(pa.array(~dmask))
             if t.num_rows == 0:
                 continue
-            plan_names = json.loads(row["plan_json"])
-            plan = CodecPlan.by_name(*plan_names)
-            bound = bind_plan(plan, t.schema)
-            # re-derive sketches for the surviving rows (the corpus's
-            # recorded sketch config) so pruning survives the vacuum
-            enc = encode_chunk(t, bound, frag, shared_dicts=shared,
+            plan = CodecPlan.by_name(*json.loads(batch["plan_json"][r].as_py()))
+            enc = encode_chunk(t, bind_plan(plan, t.schema), fragment=frag,
+                               shared_dicts=shared,
                                bloom_cols=sk.get("bloom_cols"),
                                hll_cols=sk.get("hll_cols"),
                                quantile_cols=sk.get("quantile_cols"),
                                quantile_k=int(sk.get("quantile_k", 256)))
             # force the INPUT's column order so blocks concat cleanly
             out_tables.append(pa.table(enc).select(names))
-        if not out_tables:
-            return batch.slice(0, 0)
-        return pa.concat_tables(out_tables)
+        return pa.concat_tables(out_tables) if out_tables \
+            else batch.slice(0, 0)
+
+
+class _DropDeleted:
+    """``_ReencodeChunks`` edit: drop the rows the deletion masks under
+    ``masks_dir`` mark — the corpus's live ``_deletes`` for vacuum, a
+    snapshot's mask copy for restore."""
+
+    def __init__(self, masks_dir: str):
+        self.masks_dir = masks_dir
+        self.masks = None  # loaded once, at the first chunk
+
+    def __call__(self, key, decode):
+        if self.masks is None:
+            self.masks = load_delete_masks(self.masks_dir)
+        dmask = self.masks.get(key)
+        if dmask is None:
+            return None
+        if isinstance(dmask, str):  # "all": the whole chunk is deleted
+            return pa.table({})
+        return decode().filter(pa.array(~dmask))
 
 
 def vacuum_deletes(out_dir: str, gc: bool = True,
@@ -383,19 +386,8 @@ def vacuum_deletes(out_dir: str, gc: bool = True,
     between a group commit and sidecar removal) reference chunk_ids
     that no longer exist in any active group — harmless, and the next
     vacuum call sweeps them."""
-    import ray.data as rd
-
-    from .encode_pipeline import (
-        LINEAGE_COLS,
-        _commit_lineage,
-        _gc_group,
-        _meta_root,
-        _run_groups,
-        _transitive_supersedes,
-        active_groups,
-    )
-
     from .concurrency import WriterSession
+    from .encode_pipeline import _rewrite_group, _run_groups, active_groups
 
     # generation captured BEFORE loading the masks this rewrite bakes
     # in: a delete committing mid-vacuum fails our next group commit
@@ -408,73 +400,27 @@ def vacuum_deletes(out_dir: str, gc: bool = True,
                 "retired_deletes": 0}
     masks = load_delete_masks(out_dir)
     rows_dropped = deleted_row_count(out_dir)
-    data_root = os.path.join(out_dir, "data")
     lin_root = os.path.join(out_dir, "_lineage")
-    affected: dict = {}
+    affected = []
     for gid in active_groups(out_dir):
         lin = pq.read_table(os.path.join(lin_root, f"group-{gid}.parquet"),
                             columns=["fragment", "chunk_id"])
         keys = set(zip(lin["fragment"].to_pylist(),
                        lin["chunk_id"].to_pylist()))
         if keys & masks.keys():
-            affected[gid] = sorted(
-                os.path.join(data_root, f"group-{gid}", f)
-                for f in os.listdir(os.path.join(data_root, f"group-{gid}"))
-                if f.endswith(".parquet")
-            )
-    def _one(item) -> None:
-        gid, files = item
+            affected.append(gid)
+
+    def _one(gid: str) -> None:
         h = hashlib.blake2b(digest_size=8)
         h.update(gid.encode())
         for did in ids:
             h.update(b"\x00" + did.encode())
-        ngid = "v" + h.hexdigest()[:15]
-        gdir = os.path.join(data_root, f"group-{ngid}")
-        if os.path.exists(gdir):
-            shutil.rmtree(gdir)  # torn vacuum from a previous run
-        os.makedirs(gdir, exist_ok=True)
-        enc = rd.read_parquet(files,
-                              override_num_blocks=max(1, len(files)))
-        out = enc.map_batches(
-            _RewriteChunks(out_dir), batch_format="pyarrow",
-            batch_size=4, zero_copy_batch=True,
-            concurrency=concurrency,
-        )
-        if out.count() > 0:
-            out.write_parquet(gdir, compression="none", row_group_size=1)
-            lineage = pq.read_table(gdir, columns=LINEAGE_COLS)
-        else:
-            # every chunk in the group was fully deleted: commit an
-            # empty replacement so the shadow still lands
-            src_schema = pq.read_schema(files[0])
-            lineage = pa.table(
-                {c: pa.array([], src_schema.field(c).type)
-                 for c in LINEAGE_COLS})
-        old_sc = os.path.join(_meta_root(out_dir), f"group-{gid}.files.json")
-        covered = []
-        if os.path.exists(old_sc):
-            with open(old_sc) as fh:
-                covered = json.load(fh)
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.files.json"), "w") as fh:
-            json.dump(sorted(covered), fh)
-        shadow = _transitive_supersedes(out_dir, [gid])
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.supersedes.json"), "w") as fh:
-            json.dump(shadow, fh)
-        def _publish():
-            _commit_lineage(lineage,
-                            os.path.join(lin_root, f"group-{ngid}.parquet"))
-            if gc:
-                for g in shadow:
-                    _gc_group(out_dir, g)
+        _rewrite_group(out_dir, session, "v" + h.hexdigest()[:15], [gid],
+                       _ReencodeChunks(out_dir, _DropDeleted(out_dir)),
+                       gc=gc, concurrency=concurrency,
+                       what=f"vacuum group {gid}")
 
-        # generation-checked: the marker + gc land atomically w.r.t.
-        # other writers' commits (gc removals change the generation,
-        # so they ride the same critical section)
-        session.commit(_publish, what=f"vacuum group {gid}")
-
-    _run_groups(_one, affected.items(), max_concurrent_groups)
+    _run_groups(_one, affected, max_concurrent_groups)
 
     # every affected active group is committed -> retire the sidecars
     def _retire():

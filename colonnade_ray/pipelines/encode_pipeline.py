@@ -677,14 +677,7 @@ def encode_corpus(
             _commit_lineage(lineage, lin_path)
         return False
 
-    if max_concurrent_groups <= 1 or len(groups) <= 1:
-        done = sum(encode_group(g) for g in groups)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _stub_fsspec_http()
-        with ThreadPoolExecutor(max_workers=max_concurrent_groups) as ex:
-            done = sum(ex.map(encode_group, groups))
+    done = sum(_run_groups(encode_group, groups, max_concurrent_groups))
     summary = corpus_summary(out_dir) | {"groups": len(groups),
                                          "resumed_groups": int(done)}
     if append:
@@ -812,6 +805,17 @@ def _meta_root(out_dir: str) -> str:
     p = os.path.join(out_dir, "_meta")
     os.makedirs(p, exist_ok=True)
     return p
+
+
+def _group_files(out_dir: str, gid: str) -> list:
+    """Sorted chunk-row parquet files of group ``gid``; empty for a
+    group vacuumed to zero rows (its lineage marker only carries a
+    supersedes shadow)."""
+    gdir = os.path.join(out_dir, "data", f"group-{gid}")
+    if not os.path.isdir(gdir):
+        return []
+    return sorted(os.path.join(gdir, f) for f in os.listdir(gdir)
+                  if f.endswith(".parquet"))
 
 
 def encoded_input_files(out_dir: str) -> set:
@@ -974,6 +978,77 @@ def _gc_group(out_dir: str, gid: str) -> None:
         shutil.rmtree(d, ignore_errors=True)
 
 
+def _rewrite_group(out_dir: str, session, ngid: str, sources: Sequence[str],
+                   rewriter=None, *, files: Optional[Sequence[str]] = None,
+                   replaces: Optional[Sequence[str]] = None, keep=(),
+                   num_blocks: Optional[int] = None, gc: bool = True,
+                   concurrency=None, what: str = "rewrite") -> list:
+    """The one group-rewrite path of every lifecycle op (add/drop/
+    rename columns, update, vacuum, compaction, restore): the chunk
+    rows of ``files`` (default: every file of groups ``sources``),
+    mapped through ``rewriter`` when given, become committed group
+    ``ngid``, which covers the sources' input files and shadows
+    ``replaces`` (default ``sources``) and every group they
+    transitively supersede, minus ``ngid`` and ``keep``.
+
+    Crash-safe order — each step only after the previous one landed:
+    torn ``data/group-<ngid>`` removed -> rows written (one Ray pass)
+    -> ``files.json`` (union of the sources' coverage) ->
+    ``supersedes.json`` -> lineage marker, the commit point, published
+    with the shadow's gc inside ``session.commit``: a writer that
+    committed since ``session`` opened fails the op with
+    ``ConcurrentWriteError`` before anything becomes visible.  A group
+    rewritten to zero chunk rows still commits (an empty lineage
+    marker typed from the source schema) so its shadow lands.
+    Returns the shadow."""
+    import ray.data as rd
+
+    if files is None:
+        files = [f for g in sources for f in _group_files(out_dir, g)]
+    gdir = os.path.join(out_dir, "data", f"group-{ngid}")
+    if os.path.exists(gdir):
+        shutil.rmtree(gdir)  # torn rewrite from a previous run
+    os.makedirs(gdir)
+    ds = rd.read_parquet(files,
+                         override_num_blocks=num_blocks or max(1, len(files)))
+    if rewriter is not None:
+        ds = ds.map_batches(rewriter, batch_format="pyarrow", batch_size=4,
+                            zero_copy_batch=True, concurrency=concurrency)
+    ds.write_parquet(gdir, compression="none", row_group_size=1)
+    if any(f.endswith(".parquet") for f in os.listdir(gdir)):
+        lineage = pq.read_table(gdir, columns=LINEAGE_COLS)
+    else:
+        src = pq.read_schema(files[0])
+        lineage = pa.table({c: pa.array([], src.field(c).type)
+                            for c in LINEAGE_COLS})
+    meta = _meta_root(out_dir)
+    covered: set = set()
+    for g in sources:
+        sc = os.path.join(meta, f"group-{g}.files.json")
+        if os.path.exists(sc):
+            with open(sc) as fh:
+                covered.update(json.load(fh))
+    with open(os.path.join(meta, f"group-{ngid}.files.json"), "w") as fh:
+        json.dump(sorted(covered), fh)
+    drop = {ngid, *keep}
+    shadow = [g for g in _transitive_supersedes(
+        out_dir, sources if replaces is None else replaces) if g not in drop]
+    with open(os.path.join(meta, f"group-{ngid}.supersedes.json"), "w") as fh:
+        json.dump(shadow, fh)
+
+    def _publish():
+        _commit_lineage(lineage,
+                        os.path.join(out_dir, "_lineage", f"group-{ngid}.parquet"))
+        if gc:
+            for g in shadow:
+                _gc_group(out_dir, g)
+
+    # gc removals change the generation, so they ride the same
+    # critical section as the marker
+    session.commit(_publish, what=what)
+    return shadow
+
+
 def compact_corpus(out_dir: str, gc: bool = True,
                    only_smaller_than: Optional[int] = None) -> dict:
     """Merge the committed groups into one consolidated group per
@@ -994,25 +1069,17 @@ def compact_corpus(out_dir: str, gc: bool = True,
     path filters shadowed groups via ``active_groups``).  ``gc=True``
     deletes the shadowed groups' markers, sidecars and data after the
     commit; with ``gc=False`` they remain on disk, shadowed."""
-    import ray.data as rd
-
     from .concurrency import WriterSession
 
     # generation captured before the active-set read: a delete/merge
     # landing mid-compaction fails the next cohort commit cleanly
     # (committed cohorts stay readable; a re-run converges)
     session = WriterSession(out_dir)
-    data_root = os.path.join(out_dir, "data")
-    lin_root = os.path.join(out_dir, "_lineage")
     olds = active_groups(out_dir)
     if only_smaller_than is not None:
-        def _gsize(gid: str) -> int:
-            d = os.path.join(data_root, f"group-{gid}")
-            if not os.path.isdir(d):
-                return 0
-            return sum(os.path.getsize(os.path.join(d, f))
-                       for f in os.listdir(d) if f.endswith(".parquet"))
-        olds = [g for g in olds if _gsize(g) < only_smaller_than]
+        olds = [g for g in olds
+                if sum(map(os.path.getsize, _group_files(out_dir, g)))
+                < only_smaller_than]
     # cohorts by encoded schema: groups from different plans carry
     # different colN columns and cannot share one parquet schema.
     # Groups vacuumed to zero rows have no files (their empty lineage
@@ -1021,11 +1088,7 @@ def compact_corpus(out_dir: str, gc: bool = True,
     cohorts: dict = {}
     empties: list = []
     for gid in olds:
-        gdir = os.path.join(data_root, f"group-{gid}")
-        fs = sorted(
-            os.path.join(gdir, f) for f in os.listdir(gdir)
-            if f.endswith(".parquet")
-        ) if os.path.isdir(gdir) else []
+        fs = _group_files(out_dir, gid)
         if not fs:
             empties.append(gid)
             continue
@@ -1043,39 +1106,11 @@ def compact_corpus(out_dir: str, gc: bool = True,
             h.update(g.encode())
             h.update(b"\x00")
         ngid = "c" + h.hexdigest()[:15]
-        gdir = os.path.join(data_root, f"group-{ngid}")
-        if os.path.exists(gdir):
-            shutil.rmtree(gdir)  # torn compaction from a previous run
-        files = [
-            os.path.join(data_root, f"group-{g}", f)
-            for g in gids
-            if os.path.isdir(os.path.join(data_root, f"group-{g}"))
-            for f in sorted(os.listdir(os.path.join(data_root, f"group-{g}")))
-            if f.endswith(".parquet")
-        ]
-        rd.read_parquet(files, override_num_blocks=max(1, len(files) // 8)) \
-            .write_parquet(gdir, compression="none", row_group_size=1)
-        covered: set = set()
-        for g in gids:
-            sc = os.path.join(_meta_root(out_dir), f"group-{g}.files.json")
-            if os.path.exists(sc):
-                with open(sc) as fh:
-                    covered.update(json.load(fh))
-        with open(os.path.join(_meta_root(out_dir), f"group-{ngid}.files.json"), "w") as fh:
-            json.dump(sorted(covered), fh)
-        shadow = _transitive_supersedes(out_dir, gids)
-        with open(os.path.join(_meta_root(out_dir), f"group-{ngid}.supersedes.json"), "w") as fh:
-            json.dump(shadow, fh)
-        lineage = pq.read_table(gdir, columns=LINEAGE_COLS)
-
-        def _publish():
-            _commit_lineage(lineage,
-                            os.path.join(lin_root, f"group-{ngid}.parquet"))
-            if gc:
-                for g in shadow:
-                    _gc_group(out_dir, g)
-
-        session.commit(_publish, what=f"compact cohort {ngid}")
+        files = [f for g in gids for f in _group_files(out_dir, g)]
+        # verbatim chunk rows, ~8 input files per output block
+        _rewrite_group(out_dir, session, ngid, gids, files=files,
+                       num_blocks=max(1, len(files) // 8), gc=gc,
+                       what=f"compact cohort {ngid}")
         compacted += len(gids)
     return {"compacted_groups": compacted, "cohorts": len(cohorts),
             "active_groups": len(active_groups(out_dir))}
@@ -1236,7 +1271,6 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
     those chunks' parquet row groups."""
     import ray.data as rd
 
-    data_root = os.path.join(out_dir, "data")
     lin_root = os.path.join(out_dir, "_lineage")
     group_files: dict = {}
     scoped = active_groups(out_dir) if groups is None else [
@@ -1244,10 +1278,7 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
         if os.path.exists(os.path.join(lin_root, f"group-{g}.parquet"))
     ]
     for gid in scoped:
-        gdir = os.path.join(data_root, f"group-{gid}")
-        fs = [
-            os.path.join(gdir, f) for f in sorted(os.listdir(gdir)) if f.endswith(".parquet")
-        ] if os.path.isdir(gdir) else []
+        fs = _group_files(out_dir, gid)
         if fs:
             group_files[gid] = fs
         # else: a group vacuumed down to zero rows — its (empty)

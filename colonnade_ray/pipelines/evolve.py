@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -75,10 +74,9 @@ class _AugmentChunks:
         from ..codecs.columns import encode_column
         from ..codecs.shared_dict import register_dir
         from ..stages.decode import decode_chunk_row
-        from ..stages.encode import _checksum, _codec_of, _zone_stat
+        from ..stages.encode import _codec_of, add_zone_stats, chunk_identity
 
         register_dir(self.out_dir)
-        import pyarrow.compute as pc
 
         names_in = batch.column_names
         out_rows = []
@@ -109,14 +107,7 @@ class _AugmentChunks:
                 meta["name"] = name
                 meta["ck"] = hashlib.blake2b(
                     payload, digest_size=8).hexdigest()
-                zs = _zone_stat(arr)
-                if zs is not None:
-                    stats[name] = zs
-                    if arr.null_count:
-                        stats["__nulls__"][name] = int(arr.null_count)
-                    if pa.types.is_integer(arr.type):
-                        stats["__sums__"][name] = int(
-                            pc.sum(arr).as_py() or 0)
+                add_zone_stats(stats, name, arr)
                 mjson = json.dumps(meta, separators=(",", ":"))
                 row[f"col{k}_payload"] = payload
                 row[f"col{k}_meta"] = mjson
@@ -124,23 +115,16 @@ class _AugmentChunks:
                 codecs.append(_codec_of(meta))
                 new_bytes += len(payload) + len(mjson)
                 k += 1
-            payloads = [row[f"col{i}_payload"] for i in range(k)]
-            checksum = _checksum(payloads)
+            checksum, chunk_id = chunk_identity(
+                [row[f"col{i}_payload"] for i in range(k)],
+                [row[f"col{i}_meta"] for i in range(k)])
             row["plan_json"] = json.dumps(plan)
             row["codecs_json"] = json.dumps(codecs)
             row["stats_json"] = json.dumps(stats, separators=(",", ":"),
                                            default=str)
             row["bytes_out"] = int(row["bytes_out"]) + new_bytes
             row["checksum"] = checksum
-            # same meta-inclusive identity as stages/encode.py: two
-            # chunks differing only in a constant-encoded value (whose
-            # payload is empty) must not share a chunk_id
-            idh = hashlib.blake2b(digest_size=8)
-            idh.update(checksum.encode())
-            for i in range(k):
-                idh.update(row[f"col{i}_meta"].encode())
-                idh.update(b"\x00")
-            row["chunk_id"] = idh.hexdigest()
+            row["chunk_id"] = chunk_id
             out_rows.append(row)
         cols = list(names_in)
         # column order: original order, then the appended colN pairs
@@ -166,26 +150,27 @@ def add_columns(out_dir: str, fn: Callable, input_columns: Sequence[str],
 
     Refuses while deletion masks are pending (masks key on chunk_id,
     which this pass changes) — run ``vacuum_deletes`` first."""
-    import ray.data as rd
-
+    from .concurrency import WriterSession
     from .deletes import committed_deletes
     from .encode_pipeline import (
-        LINEAGE_COLS,
-        _commit_lineage,
-        _gc_group,
+        _group_files,
         _meta_root,
         _register_dict_dir,
+        _rewrite_group,
         _run_groups,
-        _transitive_supersedes,
         active_groups,
     )
 
+    # generation captured before any corpus state is read: a writer
+    # committing mid-augment (a delete whose masks key on the chunk
+    # ids this pass replaces) fails the group commit instead of being
+    # silently undone
+    session = WriterSession(out_dir)
     if committed_deletes(out_dir):
         raise ValueError(
             "add_columns with pending deletion masks would orphan them "
             "(masks key on chunk ids, which augmenting changes): run "
             "vacuum_deletes(out_dir) first")
-    data_root = os.path.join(out_dir, "data")
     lin_root = os.path.join(out_dir, "_lineage")
     groups = active_groups(out_dir)
     if not groups:
@@ -198,18 +183,12 @@ def add_columns(out_dir: str, fn: Callable, input_columns: Sequence[str],
         from ..stages.decode import decode_chunk_row
 
         _register_dict_dir(out_dir)
-        probe_gid = next(
-            (g for g in groups
-             if os.path.isdir(os.path.join(data_root, f"group-{g}"))
-             and any(f.endswith(".parquet") for f in os.listdir(
-                 os.path.join(data_root, f"group-{g}")))),
-            None)
-        if probe_gid is None:
+        f0 = next((fs[0] for g in groups if (fs := _group_files(out_dir, g))),
+                  None)
+        if f0 is None:
             raise FileNotFoundError(
                 f"no group with data under {out_dir} to probe names from")
-        gdir = os.path.join(data_root, f"group-{probe_gid}")
-        f0 = sorted(f for f in os.listdir(gdir) if f.endswith(".parquet"))[0]
-        t0 = pq.read_table(os.path.join(gdir, f0)).slice(0, 1)
+        t0 = pq.read_table(f0).slice(0, 1)
         row0 = {c: t0[c][0].as_py() for c in t0.column_names}
         probe = decode_chunk_row(row0, verify_checksum=False,
                                  columns=list(input_columns))
@@ -242,42 +221,14 @@ def add_columns(out_dir: str, fn: Callable, input_columns: Sequence[str],
                 f"({sorted(present)}) — re-run with the original name set")
         todo.append(gid)
     def _one(gid: str) -> None:
-        gdir_old = os.path.join(data_root, f"group-{gid}")
-        files = sorted(
-            os.path.join(gdir_old, f) for f in os.listdir(gdir_old)
-            if f.endswith(".parquet")
-        )
         h = hashlib.blake2b(digest_size=8)
         h.update(gid.encode())
         for n in names:
             h.update(b"\x00" + n.encode())
-        ngid = "a" + h.hexdigest()[:15]
-        gdir = os.path.join(data_root, f"group-{ngid}")
-        if os.path.exists(gdir):
-            shutil.rmtree(gdir)  # torn run
-        aug = rd.read_parquet(files, override_num_blocks=max(1, len(files))) \
-            .map_batches(_AugmentChunks(out_dir, fn, input_columns, names),
-                         batch_format="pyarrow", batch_size=4,
-                         zero_copy_batch=True, concurrency=concurrency)
-        aug.write_parquet(gdir, compression="none", row_group_size=1)
-        old_sc = os.path.join(_meta_root(out_dir), f"group-{gid}.files.json")
-        covered = []
-        if os.path.exists(old_sc):
-            with open(old_sc) as fh:
-                covered = json.load(fh)
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.files.json"), "w") as fh:
-            json.dump(sorted(covered), fh)
-        shadow = _transitive_supersedes(out_dir, [gid])
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.supersedes.json"), "w") as fh:
-            json.dump(shadow, fh)
-        lineage = pq.read_table(gdir, columns=LINEAGE_COLS)
-        _commit_lineage(lineage,
-                        os.path.join(lin_root, f"group-{ngid}.parquet"))
-        if gc:
-            for g in shadow:
-                _gc_group(out_dir, g)
+        _rewrite_group(out_dir, session, "a" + h.hexdigest()[:15], [gid],
+                       _AugmentChunks(out_dir, fn, input_columns, names),
+                       gc=gc, concurrency=concurrency,
+                       what=f"add_columns group {gid}")
 
     # commit the provenance record BEFORE any group rewrite (intent
     # log): a crash after some groups carry the new columns but before
@@ -311,6 +262,8 @@ class _RewriteSchema:
         return s
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        from ..stages.encode import chunk_identity
+
         names_in = batch.column_names
         out_rows = []
         for r in range(len(batch)):
@@ -336,7 +289,7 @@ class _RewriteSchema:
                             f"{m['name']!r} survives")
             new_row = {c: row[c] for c in
                        ("fragment", "n_rows", "n_tokens", "bytes_in")}
-            payloads, new_plan, new_codecs = [], [], []
+            payloads, mjsons, new_plan, new_codecs = [], [], [], []
             bytes_out = 0
             for j, i in enumerate(keep):
                 m = metas[i]
@@ -356,6 +309,7 @@ class _RewriteSchema:
                 new_row[f"col{j}_payload"] = payload
                 new_row[f"col{j}_meta"] = mjson
                 payloads.append(payload)
+                mjsons.append(mjson)
                 new_plan.append(new)
                 new_codecs.append(ce)
                 bytes_out += len(payload) + len(mjson)
@@ -367,7 +321,7 @@ class _RewriteSchema:
                         if c not in self.drop}
                 elif k not in self.drop:
                     new_stats[self.rename.get(k, k)] = v
-            checksum = _rewrap_checksum(payloads)
+            checksum, chunk_id = chunk_identity(payloads, mjsons)
             new_row["plan_json"] = json.dumps(new_plan)
             new_row["codecs_json"] = json.dumps(new_codecs)
             new_row["stats_json"] = json.dumps(new_stats,
@@ -375,13 +329,7 @@ class _RewriteSchema:
                                                default=str)
             new_row["bytes_out"] = bytes_out
             new_row["checksum"] = checksum
-            # meta-inclusive identity (see stages/encode.py)
-            idh = hashlib.blake2b(digest_size=8)
-            idh.update(checksum.encode())
-            for jj in range(len(new_plan)):
-                idh.update(new_row[f"col{jj}_meta"].encode())
-                idh.update(b"\x00")
-            new_row["chunk_id"] = idh.hexdigest()
+            new_row["chunk_id"] = chunk_id
             out_rows.append(new_row)
         cols = (["fragment", "chunk_id", "n_rows", "n_tokens", "bytes_in",
                  "bytes_out", "checksum", "plan_json", "codecs_json",
@@ -390,35 +338,18 @@ class _RewriteSchema:
         return pa.table({c: [row[c] for row in out_rows] for c in cols})
 
 
-def _rewrap_checksum(payloads) -> str:
-    from ..stages.encode import _checksum
-
-    return _checksum(payloads)
-
-
-def _rewrite_schema(out_dir: str, rewriter: _RewriteSchema, tag: str,
-                    gc: bool = True, concurrency=None,
+def _rewrite_schema(out_dir: str, session, rewriter: _RewriteSchema,
+                    tag: str, gc: bool = True, concurrency=None,
                     max_concurrent_groups: int = 4) -> int:
     """Shared drop/rename driver: rewrite every active group under the
     supersedes protocol.  Returns the number of rewritten groups."""
-    import ray.data as rd
-
     from .deletes import committed_deletes
-    from .encode_pipeline import (
-        LINEAGE_COLS,
-        _commit_lineage,
-        _gc_group,
-        _meta_root,
-        _run_groups,
-        _transitive_supersedes,
-        active_groups,
-    )
+    from .encode_pipeline import _rewrite_group, _run_groups, active_groups
 
     if committed_deletes(out_dir):
         raise ValueError(
             f"{tag} with pending deletion masks would orphan them "
             "(masks key on chunk ids): run vacuum_deletes(out_dir) first")
-    data_root = os.path.join(out_dir, "data")
     lin_root = os.path.join(out_dir, "_lineage")
     groups = active_groups(out_dir)
     if not groups:
@@ -434,42 +365,14 @@ def _rewrite_schema(out_dir: str, rewriter: _RewriteSchema, tag: str,
             todo.append(gid)
 
     def _one(gid: str) -> None:
-        gdir_old = os.path.join(data_root, f"group-{gid}")
-        files = sorted(
-            os.path.join(gdir_old, f) for f in os.listdir(gdir_old)
-            if f.endswith(".parquet")
-        )
         h = hashlib.blake2b(digest_size=8)
         h.update((tag + ":" + gid).encode())
         for n in sorted(rewriter.drop) + sorted(
                 f"{a}>{b}" for a, b in rewriter.rename.items()):
             h.update(b"\x00" + n.encode())
-        ngid = "s" + h.hexdigest()[:15]
-        gdir = os.path.join(data_root, f"group-{ngid}")
-        if os.path.exists(gdir):
-            shutil.rmtree(gdir)
-        rd.read_parquet(files, override_num_blocks=max(1, len(files))) \
-            .map_batches(rewriter, batch_format="pyarrow", batch_size=16,
-                         zero_copy_batch=True, concurrency=concurrency) \
-            .write_parquet(gdir, compression="none", row_group_size=1)
-        old_sc = os.path.join(_meta_root(out_dir), f"group-{gid}.files.json")
-        covered = []
-        if os.path.exists(old_sc):
-            with open(old_sc) as fh:
-                covered = json.load(fh)
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.files.json"), "w") as fh:
-            json.dump(sorted(covered), fh)
-        shadow = _transitive_supersedes(out_dir, [gid])
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.supersedes.json"), "w") as fh:
-            json.dump(shadow, fh)
-        lineage = pq.read_table(gdir, columns=LINEAGE_COLS)
-        _commit_lineage(lineage,
-                        os.path.join(lin_root, f"group-{ngid}.parquet"))
-        if gc:
-            for g in shadow:
-                _gc_group(out_dir, g)
+        _rewrite_group(out_dir, session, "s" + h.hexdigest()[:15], [gid],
+                       rewriter, gc=gc, concurrency=concurrency,
+                       what=f"{tag} group {gid}")
 
     _run_groups(_one, todo, max_concurrent_groups)
     return len(todo)
@@ -485,8 +388,10 @@ def drop_columns(out_dir: str, names: Sequence[str],
     per-chunk there, so per-chunk ref fallbacks are all visible)
     BEFORE any group rewrites.  Lineage ``n_tokens`` is a corpus
     metric, not a schema property, and is left unchanged."""
+    from .concurrency import WriterSession
     from .encode_pipeline import active_groups
 
+    session = WriterSession(out_dir)  # before any corpus state is read
     names = list(names)
     drop = set(names)
     lin_root = os.path.join(out_dir, "_lineage")
@@ -507,7 +412,7 @@ def drop_columns(out_dir: str, names: Sequence[str],
                         f"{name!r} (cross-column dedup ref) and cannot "
                         f"be dropped while {name!r} survives "
                         f"(group {gid})")
-    done = _rewrite_schema(out_dir, _RewriteSchema(drop=names),
+    done = _rewrite_schema(out_dir, session, _RewriteSchema(drop=names),
                            f"drop:{','.join(sorted(names))}",
                            gc=gc, concurrency=concurrency)
     # keep the augment provenance record consistent
@@ -527,8 +432,10 @@ def rename_columns(out_dir: str, mapping: dict,
     """Rename columns corpus-wide: a pure metadata rewrite (payloads
     move verbatim; plan, per-column meta names, zone-map keys and
     cross-column length refs all follow)."""
+    from .concurrency import WriterSession
     from .encode_pipeline import active_groups
 
+    session = WriterSession(out_dir)  # before any corpus state is read
     lin_root = os.path.join(out_dir, "_lineage")
     for gid in active_groups(out_dir):
         lt = pq.read_table(os.path.join(lin_root, f"group-{gid}.parquet"),
@@ -544,7 +451,7 @@ def rename_columns(out_dir: str, mapping: dict,
             raise ValueError(
                 f"rename target(s) {sorted(clash)} already exist in "
                 f"group {gid}")
-    done = _rewrite_schema(out_dir, _RewriteSchema(rename=mapping),
+    done = _rewrite_schema(out_dir, session, _RewriteSchema(rename=mapping),
                            "rename:" + ",".join(
                                f"{a}>{b}" for a, b in sorted(mapping.items())),
                            gc=gc, concurrency=concurrency)
@@ -559,95 +466,53 @@ def rename_columns(out_dir: str, mapping: dict,
     return {"rewritten_groups": done, "renamed": dict(mapping)}
 
 
-class _UpdateChunks:
-    """Chunk-row rewriter for update_where: chunks outside ``keys``
-    (the (fragment, chunk_id) pairs the chunk planner could not prove
-    untouched) copy VERBATIM (no decode, no re-encode); touched chunks
-    decode, rewrite ONLY the matching rows through ``fn``, and
-    re-encode under the same plan and pinned shared dictionaries."""
+class _UpdateRows:
+    """``_ReencodeChunks`` edit for update_where: chunks outside
+    ``keys`` (the (fragment, chunk_id) pairs the chunk planner could
+    not prove untouched) and chunks with no matching row stay
+    verbatim; in the rest ONLY the matching rows are rewritten through
+    ``fn``, in place."""
 
-    def __init__(self, out_dir: str, predicates: list, fn: Callable,
-                 keys: set):
-        self.out_dir = out_dir
+    def __init__(self, predicates: list, fn: Callable, keys: set):
         self.predicates = predicates
         self.fn = fn
         self.keys = keys
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def __call__(self, key, decode):
+        from ..stages.decode import predicates_mask
 
-        from ..codecs.shared_dict import register_dir
-        from ..plan import CodecPlan, bind_plan
-        from ..stages.decode import decode_chunk_row, predicate_mask
-        from ..stages.encode import encode_chunk
-        from .encode_pipeline import load_pinned_dicts
-
-        register_dir(self.out_dir)
-        shared = load_pinned_dicts(self.out_dir)
-        from .encode_pipeline import sketch_cols
-
-        sk = sketch_cols(self.out_dir)
-        names_in = batch.column_names
-        out_tables = []
-        for r in range(len(batch)):
-            if (batch["fragment"][r].as_py(),
-                    batch["chunk_id"][r].as_py()) not in self.keys:
-                out_tables.append(batch.slice(r, 1))  # proven untouched
-                continue
-            row = {c: batch[c][r].as_py() for c in names_in}
-            t = decode_chunk_row(row, verify_checksum=True)
-            mask = np.ones(t.num_rows, dtype=bool)
-            for p in self.predicates:
-                pm = predicate_mask(t, p)
-                if pm is None:
-                    mask &= False
-                else:
-                    if isinstance(pm, pa.ChunkedArray):
-                        pm = pm.combine_chunks()
-                    mask &= pm.to_numpy(zero_copy_only=False).astype(bool)
-            if not mask.any():
-                out_tables.append(batch.slice(r, 1))
-                continue
-            matched = t.filter(pa.array(mask))
-            updated = self.fn(matched)
-            if not isinstance(updated, pa.Table):
-                updated = pa.table(updated)
-            if updated.num_rows != matched.num_rows:
-                raise ValueError(
-                    f"update fn returned {updated.num_rows} rows for "
-                    f"{matched.num_rows} matched")
-            if set(updated.column_names) != set(t.column_names):
-                raise ValueError(
-                    f"update fn changed the schema: {updated.column_names}"
-                    f" vs {t.column_names} (use add/drop/rename_columns "
-                    "for schema changes)")
-            # scatter the updated rows back in place via concat + take
-            # (works for every Arrow type, including list columns,
-            # unlike replace_with_mask)
-            unmatched = t.filter(pa.array(~mask))
-            updated = pa.table({
-                name: updated[name].combine_chunks().cast(
-                    t.schema.field(name).type)
-                for name in t.column_names})
-            combined = pa.concat_tables([unmatched, updated])
-            order = np.empty(t.num_rows, dtype=np.int64)
-            order[~mask] = np.arange(unmatched.num_rows)
-            order[mask] = unmatched.num_rows + np.arange(
-                int(mask.sum()))
-            new_t = combined.take(pa.array(order))
-            plan = CodecPlan.by_name(*json.loads(row["plan_json"]))
-            bound = bind_plan(plan, new_t.schema)
-            # re-derive the corpus's recorded sketches over the new
-            # values — a stale bloom/HLL must never survive an update
-            enc = encode_chunk(new_t, bound, row["fragment"],
-                               shared_dicts=shared,
-                               bloom_cols=sk.get("bloom_cols"),
-                               hll_cols=sk.get("hll_cols"),
-                               quantile_cols=sk.get("quantile_cols"),
-                               quantile_k=int(sk.get("quantile_k", 256)))
-            out_tables.append(pa.table(enc).select(names_in))
-        return pa.concat_tables(out_tables) if out_tables \
-            else batch.slice(0, 0)
+        if key not in self.keys:
+            return None  # proven untouched
+        t = decode()
+        mask = predicates_mask(t, self.predicates)
+        if not mask.any():
+            return None
+        matched = t.filter(pa.array(mask))
+        updated = self.fn(matched)
+        if not isinstance(updated, pa.Table):
+            updated = pa.table(updated)
+        if updated.num_rows != matched.num_rows:
+            raise ValueError(
+                f"update fn returned {updated.num_rows} rows for "
+                f"{matched.num_rows} matched")
+        if set(updated.column_names) != set(t.column_names):
+            raise ValueError(
+                f"update fn changed the schema: {updated.column_names}"
+                f" vs {t.column_names} (use add/drop/rename_columns "
+                "for schema changes)")
+        # scatter the updated rows back in place via concat + take
+        # (works for every Arrow type, including list columns, unlike
+        # replace_with_mask)
+        unmatched = t.filter(pa.array(~mask))
+        updated = pa.table({
+            name: updated[name].combine_chunks().cast(
+                t.schema.field(name).type)
+            for name in t.column_names})
+        combined = pa.concat_tables([unmatched, updated])
+        order = np.empty(t.num_rows, dtype=np.int64)
+        order[~mask] = np.arange(unmatched.num_rows)
+        order[mask] = unmatched.num_rows + np.arange(int(mask.sum()))
+        return combined.take(pa.array(order))
 
 
 def update_where(out_dir: str, predicate, fn: Callable,
@@ -670,22 +535,11 @@ def update_where(out_dir: str, predicate, fn: Callable,
     idempotent on its own output (constant assignment whose result no
     longer matches the predicate — ``replace_where`` — or a rewrite
     that moves rows out of the matched set)."""
-    import ray.data as rd
-
     from ..stages.decode import normalize_predicates, predicate_json
     from .chunk_plan import plan_chunks
-    from .deletes import committed_deletes
-    from .encode_pipeline import (
-        LINEAGE_COLS,
-        _commit_lineage,
-        _gc_group,
-        _meta_root,
-        _run_groups,
-        _transitive_supersedes,
-        active_groups,
-    )
-
     from .concurrency import WriterSession
+    from .deletes import _ReencodeChunks, committed_deletes
+    from .encode_pipeline import _rewrite_group, _run_groups, active_groups
 
     session = WriterSession(out_dir)  # before the pending-masks check
     preds = normalize_predicates(predicate)
@@ -695,8 +549,6 @@ def update_where(out_dir: str, predicate, fn: Callable,
         raise ValueError(
             "update_where with pending deletion masks would orphan them "
             "(masks key on chunk ids): run vacuum_deletes(out_dir) first")
-    data_root = os.path.join(out_dir, "data")
-    lin_root = os.path.join(out_dir, "_lineage")
     groups = active_groups(out_dir)
     if not groups:
         raise FileNotFoundError(f"no committed encode groups under {out_dir}")
@@ -708,49 +560,16 @@ def update_where(out_dir: str, predicate, fn: Callable,
     hit = {c.gid for c in touched}
     # groups the plan proves untouched are skipped entirely
     todo = [g for g in plan.groups if g in hit]
+    rewriter = _ReencodeChunks(out_dir, _UpdateRows(preds, fn, keys))
 
     def _one(gid: str) -> None:
-        gdir_old = os.path.join(data_root, f"group-{gid}")
-        files = sorted(
-            os.path.join(gdir_old, f) for f in os.listdir(gdir_old)
-            if f.endswith(".parquet")
-        )
         h = hashlib.blake2b(digest_size=8)
         h.update(("update:" + gid + ":" + pred_key).encode())
-        ngid = "u" + h.hexdigest()[:15]
-        gdir = os.path.join(data_root, f"group-{ngid}")
-        if os.path.exists(gdir):
-            shutil.rmtree(gdir)
-        rd.read_parquet(files, override_num_blocks=max(1, len(files))) \
-            .map_batches(_UpdateChunks(out_dir, preds, fn, keys),
-                         batch_format="pyarrow", batch_size=4,
-                         zero_copy_batch=True, concurrency=concurrency) \
-            .write_parquet(gdir, compression="none", row_group_size=1)
-        old_sc = os.path.join(_meta_root(out_dir), f"group-{gid}.files.json")
-        covered = []
-        if os.path.exists(old_sc):
-            with open(old_sc) as fh:
-                covered = json.load(fh)
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.files.json"), "w") as fh:
-            json.dump(sorted(covered), fh)
-        shadow = _transitive_supersedes(out_dir, [gid])
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.supersedes.json"), "w") as fh:
-            json.dump(shadow, fh)
-        lineage = pq.read_table(gdir, columns=LINEAGE_COLS)
-
-        def _publish():
-            _commit_lineage(lineage,
-                            os.path.join(lin_root, f"group-{ngid}.parquet"))
-            if gc:
-                for g in shadow:
-                    _gc_group(out_dir, g)
-
-        # generation-checked per-group commit: a delete/vacuum/merge
-        # landing mid-update aborts this rewrite cleanly (committed
-        # groups stay readable, a re-run converges)
-        session.commit(_publish, what=f"update group {gid}")
+        # a delete/vacuum/merge landing mid-update aborts this rewrite
+        # cleanly (committed groups stay readable, a re-run converges)
+        _rewrite_group(out_dir, session, "u" + h.hexdigest()[:15], [gid],
+                       rewriter, gc=gc, concurrency=concurrency,
+                       what=f"update group {gid}")
 
     _run_groups(_one, todo, max_concurrent_groups)
     return {"updated_groups": len(todo),

@@ -47,9 +47,7 @@ move; the appended group is the only new data written.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Optional, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -58,7 +56,6 @@ import pyarrow.parquet as pq
 from .deletes import delete_where
 from .encode_pipeline import (
     _list_input_files,
-    corpus_summary,
     encode_corpus,
     encoded_input_files,
 )

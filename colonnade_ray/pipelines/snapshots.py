@@ -161,19 +161,16 @@ def restore_snapshot(out_dir: str, tag: str, gc: bool = True,
     import hashlib
 
     import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from .deletes import _RewriteChunks, committed_deletes
-    from .encode_pipeline import (
-        LINEAGE_COLS,
-        _commit_lineage,
-        _gc_group,
-        _meta_root,
-        _transitive_supersedes,
-        active_groups,
-    )
 
     from .concurrency import WriterSession
+    from .deletes import _DropDeleted, _ReencodeChunks, committed_deletes
+    from .encode_pipeline import (
+        _group_files,
+        _rewrite_group,
+        active_groups,
+        completed_groups,
+        shadowed_groups,
+    )
 
     session = WriterSession(out_dir)  # before the no-pending-masks check
     m = _manifest(out_dir, tag)
@@ -181,79 +178,72 @@ def restore_snapshot(out_dir: str, tag: str, gc: bool = True,
         raise ValueError(
             "restore_snapshot with pending live deletion masks would "
             "orphan them: run vacuum_deletes(out_dir) first")
-    data_root = os.path.join(out_dir, "data")
-    lin_root = os.path.join(out_dir, "_lineage")
-    snap_masks = _snap_dir(out_dir, tag) if m["deletes"] else None
     current = active_groups(out_dir)
     if sorted(current) == sorted(m["groups"]) and not m["deletes"]:
         return {"restored_cohorts": 0, "superseded_groups": 0}
     # cohorts by encoded schema, as in compact_corpus
     cohorts: dict = {}
     for gid in m["groups"]:
-        gdir = os.path.join(data_root, f"group-{gid}")
-        fs = sorted(
-            os.path.join(gdir, f) for f in os.listdir(gdir)
-            if f.endswith(".parquet")
-        ) if os.path.isdir(gdir) else []
+        fs = _group_files(out_dir, gid)
         if not fs:
             continue  # pinned group vacuumed to zero rows pre-snapshot
         key = tuple(pq.read_schema(fs[0]).names)
         cohorts.setdefault(key, []).extend(fs)
-    def _ngid(i: int) -> str:
+
+    def _ngid(i: int, k: int) -> str:
         h = hashlib.blake2b(digest_size=8)
         h.update(f"restore:{tag}:{i}".encode())
         for g in sorted(m["groups"]):
             h.update(b"\x00" + g.encode())
+        if k:
+            h.update(f"\x00{k}".encode())
         return "r" + h.hexdigest()[:15]
 
+    # one deterministic gid per cohort, so a crash-retry finds the
+    # cohorts it already committed ACTIVE and skips them.  A gid an
+    # earlier restore of this snapshot committed is taken: the cohort
+    # moves to the next fresh gid, so a restored group never sits
+    # inside a shadow chain
+    taken = set(completed_groups(out_dir)) | shadowed_groups(out_dir)
+
+    def _targets(resume: bool) -> list:
+        out = []
+        for i in range(len(cohorts)):
+            k = 0
+            while _ngid(i, k) in taken and not (
+                    resume and _ngid(i, k) in current):
+                k += 1
+            out.append(_ngid(i, k))
+        return out
+
+    # a retry resumes only while every active group is one of its
+    # cohorts (the first cohort commit shadows everything else); an
+    # active target beside other groups (say, an append after an
+    # earlier restore) was committed by that earlier restore, and the
+    # live corpus must still roll back past it
+    targets = _targets(resume=True)
+    if not set(current) <= set(targets):
+        targets = _targets(resume=False)
     # the shadow must never include the restore groups themselves: on
-    # a crash-retry the committed restore group IS active, and a shadow
+    # a crash-retry a committed restore group IS active, and a shadow
     # derived naively from the current active set would gc the very
     # data the retry is converging to
-    restore_gids = {_ngid(i) for i in range(len(cohorts))}
-    shadow = [g for g in _transitive_supersedes(
-        out_dir, [g for g in current if g not in restore_gids])
-        if g not in restore_gids]
+    roots = [g for g in current if g not in targets]
+    rewriter = _ReencodeChunks(out_dir,
+                               _DropDeleted(_snap_dir(out_dir, tag)))
+    shadow: set = set()
     restored = 0
-    for i, (key, files) in enumerate(sorted(cohorts.items())):
-        ngid = _ngid(i)
-        lin_path = os.path.join(lin_root, f"group-{ngid}.parquet")
-        if os.path.exists(lin_path):
+    for (key, files), ngid in zip(sorted(cohorts.items()), targets):
+        if ngid in current:
             continue  # this cohort committed before a crash
-        gdir = os.path.join(data_root, f"group-{ngid}")
-        if os.path.exists(gdir):
-            shutil.rmtree(gdir)  # torn restore from a previous run
-        out = rd.read_parquet(files,
-                              override_num_blocks=max(1, len(files))) \
-            .map_batches(_RewriteChunks(out_dir, masks_dir=snap_masks),
-                         batch_format="pyarrow", batch_size=4,
-                         zero_copy_batch=True, concurrency=concurrency)
-        out.write_parquet(gdir, compression="none", row_group_size=1)
-        covered: set = set()
-        for g in m["groups"]:
-            sc = os.path.join(_meta_root(out_dir), f"group-{g}.files.json")
-            if os.path.exists(sc):
-                with open(sc) as fh:
-                    covered.update(json.load(fh))
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.files.json"), "w") as fh:
-            json.dump(sorted(covered), fh)
-        with open(os.path.join(_meta_root(out_dir),
-                               f"group-{ngid}.supersedes.json"), "w") as fh:
-            json.dump(shadow, fh)
-        lineage = pq.read_table(gdir, columns=LINEAGE_COLS)
-        # the cohort's commit point — generation-checked, so a writer
-        # (delete/vacuum/merge) landing mid-restore aborts the restore
-        # cleanly instead of being silently superseded
-        session.commit(lambda: _commit_lineage(lineage, lin_path),
-                       what=f"restore cohort {ngid}")
+        # generation-checked: a writer (delete/vacuum/merge) landing
+        # mid-restore aborts the restore cleanly instead of being
+        # silently superseded
+        shadow.update(_rewrite_group(
+            out_dir, session, ngid, m["groups"], rewriter, files=files,
+            replaces=roots, keep=targets, gc=gc, concurrency=concurrency,
+            what=f"restore cohort {ngid}"))
         restored += 1
-    if gc:
-        def _sweep():
-            for g in shadow:
-                _gc_group(out_dir, g)
-
-        session.commit(_sweep, what="restore gc")
     return {"restored_cohorts": restored,
             "superseded_groups": len(shadow)}
 

@@ -536,6 +536,25 @@ def predicate_mask(t: pa.Table, predicate):
     return None if m is None else pc.fill_null(m, False)
 
 
+def predicates_mask(t: pa.Table, preds):
+    """Numpy boolean row mask: every predicate in ``preds`` is TRUE
+    (their AND).  A predicate over a column ``t`` lacks matches no
+    row — the closed-world default of the write paths (delete and
+    update touch only rows they can prove match)."""
+    import numpy as np
+
+    m = np.ones(t.num_rows, dtype=bool)
+    for p in preds:
+        pm = predicate_mask(t, p)
+        if pm is None:
+            m[:] = False
+            continue
+        if isinstance(pm, pa.ChunkedArray):
+            pm = pm.combine_chunks()
+        m &= pm.to_numpy(zero_copy_only=False).astype(bool)
+    return m
+
+
 def _exact_filter(t: pa.Table, predicate: Tuple[str, str, object]) -> pa.Table:
     m = predicate_mask(t, predicate)
     return t if m is None else t.filter(m)

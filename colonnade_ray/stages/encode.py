@@ -29,20 +29,12 @@ from typing import Optional, Sequence
 import pyarrow as pa
 
 from ..codecs import encode_column
-from ..codecs.columns import select_int_codec  # noqa: F401 (re-export for stats tools)
 from ..plan import BoundPlan, CodecPlan, bind_plan
 
 PATH_COL = "path"          # emitted by read_parquet(include_paths=True)
 SYS_PREFIX = "__cr_"
 FRAG_COL = SYS_PREFIX + "frag"  # int32 fragment ordinal (exchange-cheap
                                 # replacement for the per-row path string)
-
-
-def _checksum(parts: list) -> str:
-    h = hashlib.blake2b(digest_size=16)
-    for p in parts:
-        h.update(p)
-    return h.hexdigest()
 
 
 def _fragment_of(batch: pa.Table, fragments: Optional[list] = None) -> str:
@@ -108,6 +100,47 @@ def _zone_stat(arr) -> Optional[list]:
     return [lo, hi]
 
 
+def add_zone_stats(stats: dict, name: str, arr) -> None:
+    """Record column ``name``'s zone-map entry in chunk ``stats``: its
+    [min, max], its null count under ``__nulls__`` and, for integer
+    columns, its exact sum under ``__sums__`` (JSON ints are arbitrary
+    precision, so SUM pushdown never decodes an all-match chunk)."""
+    import pyarrow.compute as pc
+
+    zs = _zone_stat(arr)  # pc.min_max accepts chunked arrays
+    if zs is None:
+        return
+    stats[name] = zs
+    if arr.null_count:
+        stats["__nulls__"][name] = int(arr.null_count)
+    if pa.types.is_integer(arr.type):
+        stats["__sums__"][name] = int(pc.sum(arr).as_py() or 0)
+
+
+def chunk_identity(payloads: list, metas: list) -> tuple:
+    """(checksum, chunk_id) of a chunk row from its column payloads
+    and ``colN_meta`` JSON strings.
+
+    ``checksum`` covers the payloads alone (decode recomputes it to
+    verify integrity).  ``chunk_id`` hashes the checksum AND the
+    metas: a constant-encoded column stores its value in colN_meta
+    with an EMPTY payload, so two chunks differing only in such a
+    value would share a payload checksum — and a deletion mask keyed
+    (fragment, chunk_id) for one would silently mask the other (found
+    by the round-5 concurrent-merge test: two single-row upserts of
+    one key, same fragment basename, v=const)."""
+    h = hashlib.blake2b(digest_size=16)
+    for p in payloads:
+        h.update(p)
+    checksum = h.hexdigest()
+    idh = hashlib.blake2b(digest_size=8)
+    idh.update(checksum.encode())
+    for m in metas:
+        idh.update(m.encode())
+        idh.update(b"\x00")
+    return checksum, idh.hexdigest()
+
+
 def _lengths_ref_hints(batch: pa.Table, bound: BoundPlan) -> dict:
     """list-column name -> sibling int-column name whose values equal
     the list's per-row lengths (e.g. ``n_tok`` == len(``tokens``)).
@@ -148,6 +181,7 @@ def _lengths_ref_hints(batch: pa.Table, bound: BoundPlan) -> dict:
 def encode_chunk(
     batch: pa.Table,
     bound: BoundPlan,
+    *,
     fragment: str = "",
     post_compress: Optional[str] = None,
     shared_dicts: Optional[dict] = None,
@@ -214,44 +248,18 @@ def encode_chunk(
             qe = build_quant(arr, k=quantile_k)
             if qe is not None:
                 stats.setdefault("__quant__", {})[bc.field.name] = qe
-        zs = _zone_stat(arr)  # pc.min_max accepts chunked arrays
-        if zs is not None:
-            stats[bc.field.name] = zs
-            if arr.null_count:
-                stats["__nulls__"][bc.field.name] = int(arr.null_count)
-            if pa.types.is_integer(arr.type):
-                # exact chunk sums (JSON ints are arbitrary precision)
-                # -> SUM pushdown never decodes an all-match chunk
-                import pyarrow.compute as pc
-
-                stats["__sums__"][bc.field.name] = int(
-                    pc.sum(arr).as_py() or 0)
+        add_zone_stats(stats, bc.field.name, arr)
         mjson = json.dumps(meta, separators=(",", ":"))
         out[f"col{i}_payload"] = [payload]
         out[f"col{i}_meta"] = [mjson]
         payload_parts.append(payload)
         codec_summary.append(_codec_of(meta))
-    checksum = _checksum(payload_parts)
-    bytes_out = sum(len(p) for p in payload_parts) + sum(
-        len(out[f"col{i}_meta"][0]) for i in range(len(bound.columns))
-    )
-    # chunk identity hashes the payloads AND the codec metas: a
-    # constant-encoded column stores its value in colN_meta with an
-    # EMPTY payload, so two chunks differing only in such a value
-    # would share a payload checksum — and a deletion mask keyed
-    # (fragment, chunk_id) for one would silently mask the other
-    # (found by the round-5 concurrent-merge test: two single-row
-    # upserts of one key, same fragment basename, v=const).  The
-    # payload `checksum` column keeps its integrity-verification
-    # meaning (decode recomputes it over payloads alone).
-    idh = hashlib.blake2b(digest_size=8)
-    idh.update(checksum.encode())
-    for i in range(len(bound.columns)):
-        idh.update(out[f"col{i}_meta"][0].encode())
-        idh.update(b"\x00")
+    metas = [out[f"col{i}_meta"][0] for i in range(len(bound.columns))]
+    checksum, chunk_id = chunk_identity(payload_parts, metas)
+    bytes_out = sum(len(p) for p in payload_parts) + sum(len(m) for m in metas)
     out_meta = {
         "fragment": [fragment],
-        "chunk_id": [idh.hexdigest()],
+        "chunk_id": [chunk_id],
         "n_rows": [n_rows],
         "n_tokens": [_token_count(batch)],
         "bytes_in": [bytes_in],
@@ -331,7 +339,7 @@ def encode_batch(batch: pa.Table, plan_names: Optional[list] = None,
     data = _strip_sys(batch)
     plan = CodecPlan.by_name(*plan_names) if plan_names else CodecPlan.from_schema(data.schema)
     bound = bind_plan(plan, data.schema)
-    return encode_chunk(data, bound, fragment,
+    return encode_chunk(data, bound, fragment=fragment,
                         post_compress=post_compress,
                         shared_dicts=_resolve_shared_dicts(shared_dicts),
                         bloom_cols=bloom_cols, hll_cols=hll_cols,

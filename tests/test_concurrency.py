@@ -154,6 +154,61 @@ def test_vacuum_aborts_on_concurrent_delete(tmp_path, ray_session):
     assert count_where(out, ("v", ">=", 0)) == len(keep)
 
 
+def test_schema_ops_abort_on_concurrent_delete(tmp_path, ray_session,
+                                               monkeypatch):
+    """A delete committing between a schema rewrite's data write and
+    its commit keys its masks on chunk ids the rewrite replaces.
+    add_columns and rename_columns must fail their group commit with
+    ConcurrentWriteError instead of publishing a group that silently
+    resurrects the deleted rows; the delete stays honoured, and after
+    a vacuum the re-run converges.  The delete is injected through
+    ``_transitive_supersedes``, which every group rewrite calls inside
+    that window."""
+    import pyarrow.compute as pc
+
+    from colonnade_ray.pipelines import add_columns, rename_columns
+    from colonnade_ray.pipelines import encode_pipeline as ep
+
+    out, df = _corpus(tmp_path)
+    real = ep._transitive_supersedes
+    pending = []
+
+    def racing(out_dir, gids):
+        if pending:
+            delete_where(out, pending.pop())
+        return real(out_dir, gids)
+
+    monkeypatch.setattr(ep, "_transitive_supersedes", racing)
+
+    def bucket(t):
+        return {"v_bucket": pc.divide(t["v"], 100)}
+
+    pending.append(("v", "<", 50))
+    with pytest.raises(ConcurrentWriteError):
+        add_columns(out, bucket, ["v"], names=["v_bucket"])
+    keep = df[df.v >= 50]
+    got = decode_corpus(out, columns=["v"]).to_pandas()
+    assert sorted(got.v) == sorted(keep.v)
+    vacuum_deletes(out)
+    assert add_columns(out, bucket, ["v"],
+                       names=["v_bucket"])["augmented_groups"] >= 1
+    got = decode_corpus(out, columns=["v", "v_bucket"]).to_pandas()
+    assert sorted(got.v) == sorted(keep.v)
+    assert (got.v_bucket == got.v // 100).all()
+
+    pending.append(("v", ">=", 950))
+    with pytest.raises(ConcurrentWriteError):
+        rename_columns(out, {"v": "value"})
+    keep = keep[keep.v < 950]
+    got = decode_corpus(out, columns=["v"]).to_pandas()
+    assert sorted(got.v) == sorted(keep.v)
+    vacuum_deletes(out)
+    rename_columns(out, {"v": "value"})
+    got = decode_corpus(out, columns=["value"]).to_pandas()
+    assert sorted(got.value) == sorted(keep.v)
+    assert count_where(out, ("value", ">=", 0)) == len(keep)
+
+
 def test_concurrent_merges_serialize_last_writer_wins(tmp_path, ray_session):
     """Two merges upserting the SAME key serialize on the merge mutex:
     without it each key-delete would mask the other's appended version

@@ -203,6 +203,72 @@ def test_restore_snapshot_with_pending_mask_snapshot(ray_session, tmp_path):
     assert committed_deletes(out) == []
 
 
+def test_restore_snapshot_of_fully_deleted_corpus(ray_session, tmp_path):
+    """A snapshot whose masks delete every row restores to an empty
+    live corpus: the rewrite writes no chunk rows, and the restore
+    still commits (an empty lineage marker carrying the shadow)."""
+    from colonnade_ray.pipelines import restore_snapshot
+
+    inp, out, orig = _setup(tmp_path, n_rows=600)
+    delete_where(out, ("n_tok", ">=", 0))
+    create_snapshot(out, "empty")
+    vacuum_deletes(out)
+    assert restore_snapshot(out, "empty")["restored_cohorts"] == 1
+    assert _ids(decode_corpus(out)) == []
+    assert count_where(out, ("n_tok", ">=", 0)) == 0
+    assert _ids(decode_snapshot(out, "empty")) == []
+
+
+def test_restore_snapshot_again_after_pinned_rewrite(ray_session, tmp_path):
+    """Restoring a snapshot a second time, after a rewrite superseded
+    the first restore's group and a later snapshot pinned both groups:
+    the live corpus must return to the snapshot again.  The second
+    restore cannot reuse the first restore group (still committed,
+    shadowed) and commits a fresh one."""
+    from colonnade_ray.pipelines import restore_snapshot
+
+    inp, out, orig = _setup(tmp_path, n_rows=200)
+    create_snapshot(out, "t0")
+    replace_where(out, ("n_tok", ">=", 0), {"source": "first"})
+    restore_snapshot(out, "t0")
+    create_snapshot(out, "t1")      # pins the first restore group
+    replace_where(out, ("n_tok", ">=", 0), {"source": "second"})
+    create_snapshot(out, "t2")      # pins the group that superseded it
+    assert restore_snapshot(out, "t0")["restored_cohorts"] == 1
+    want = sorted(orig["source"].to_pylist())
+    got = decode_corpus(out, columns=["source"]).to_pandas()
+    assert sorted(got["source"]) == want
+    assert restore_snapshot(out, "t0")["restored_cohorts"] == 0
+    assert sorted(r["source"] for r in decode_snapshot(
+        out, "t2", columns=["source"]).take_all()) == ["second"] * 200
+
+
+def test_restore_snapshot_again_after_append(ray_session, tmp_path):
+    """Restore, append, restore the same snapshot again: the first
+    restore group is still ACTIVE beside the appended group, so the
+    second restore must not mistake it for a committed crash-retry
+    cohort — it commits a fresh group that shadows both."""
+    from colonnade_ray.pipelines import restore_snapshot
+
+    inp, out, orig = _setup(tmp_path, n_rows=200)
+    create_snapshot(out, "t0")
+    replace_where(out, ("n_tok", ">=", 0), {"source": "first"})
+    assert restore_snapshot(out, "t0")["restored_cohorts"] == 1
+    inp2 = str(tmp_path / "inp2")
+    synth_corpus(inp2, 100, seed=29, rows_per_file=100)
+    encode_corpus([os.path.join(inp2, f) for f in sorted(os.listdir(inp2))
+                   if f.endswith(".parquet")],
+                  out, batch_size=64, append=True)
+    assert decode_corpus(out).count() == 300
+    assert restore_snapshot(out, "t0")["restored_cohorts"] == 1
+    got = decode_corpus(out, columns=["doc_id", "source"]).to_pandas()
+    assert len(got) == 200
+    assert sorted(got["doc_id"]) == sorted(orig["doc_id"].to_pylist())
+    assert sorted(got["source"]) == sorted(orig["source"].to_pylist())
+    assert len(active_groups(out)) == 1
+    assert restore_snapshot(out, "t0")["restored_cohorts"] == 0
+
+
 def test_snapshot_validation_and_torn_create(ray_session, tmp_path):
     inp, out, orig = _setup(tmp_path, n_rows=200)
     with pytest.raises(ValueError, match="tag"):
