@@ -1,24 +1,26 @@
 from .encode_pipeline import (
     active_groups,
-    approx_distinct,
-    approx_quantiles,
     compact_corpus,
     completed_groups,
-    aggregate_where,
     corpus_summary,
-    group_aggregates,
-    group_counts,
-    grouped_approx_quantiles,
-    grouped_topk_where,
-    count_where,
     decode_corpus,
     decode_dataset,
     decode_digest_corpus,
     encode_corpus,
     encode_dataset,
     roundtrip_verify,
-    summary_where,
     sweep_orphans,
+)
+from .pushdown import (
+    aggregate_where,
+    approx_distinct,
+    approx_quantiles,
+    count_where,
+    group_aggregates,
+    group_counts,
+    grouped_approx_quantiles,
+    grouped_topk_where,
+    summary_where,
     topk_where,
 )
 from .evolve import (

@@ -1,8 +1,5 @@
 """One chunk planner for every pushdown and lifecycle read.
 
-Every read of the encoded corpus has the same shape: plan, then answer
-from metadata, then scan, then merge.
-
 - ``plan_chunks`` is the only code that reads the lineage manifests
   for a query.  It parses each chunk's ``stats_json`` once, compiles
   the predicate once (stages/decode.ChunkClassifier), folds whole-chunk
@@ -12,14 +9,10 @@ from metadata, then scan, then merge.
   - ``proven``: every row matches (every chunk, when there is no
     predicate), so an operation may answer from the chunk's stats.
   - ``maybe``: only a decode can tell.
-- Each operation answers what it can from ``plan.proven`` on the
-  driver; the chunks it cannot answer, plus ``plan.maybe``, go to
-  ``scan_chunks``.
-- ``scan_chunks`` is the one decode loop: it reads just those chunks,
-  decodes them, masks deleted rows, applies the predicate exactly and
-  folds each task's tables into one partial.  The operation merges the
-  partials with its metadata answer.  When nothing is left to scan, no
-  Ray job starts.
+- ``scan_chunks`` is the one decode loop: it reads just the chunks an
+  operation could not answer from metadata, decodes them, masks
+  deleted rows, applies the predicate exactly and folds each task's
+  tables into one partial (pipelines/pushdown.py merges them).
 """
 
 from __future__ import annotations

@@ -998,8 +998,9 @@ def _rewrite_group(out_dir: str, session, ngid: str, sources: Sequence[str],
     with the shadow's gc inside ``session.commit``: a writer that
     committed since ``session`` opened fails the op with
     ``ConcurrentWriteError`` before anything becomes visible.  A group
-    rewritten to zero chunk rows still commits (an empty lineage
-    marker typed from the source schema) so its shadow lands.
+    rewritten to zero chunk rows, or from no files at all, still
+    commits (an empty lineage marker typed from the source's chunk
+    rows or lineage marker) so its shadow lands.
     Returns the shadow."""
     import ray.data as rd
 
@@ -1009,16 +1010,19 @@ def _rewrite_group(out_dir: str, session, ngid: str, sources: Sequence[str],
     if os.path.exists(gdir):
         shutil.rmtree(gdir)  # torn rewrite from a previous run
     os.makedirs(gdir)
-    ds = rd.read_parquet(files,
-                         override_num_blocks=num_blocks or max(1, len(files)))
-    if rewriter is not None:
-        ds = ds.map_batches(rewriter, batch_format="pyarrow", batch_size=4,
-                            zero_copy_batch=True, concurrency=concurrency)
-    ds.write_parquet(gdir, compression="none", row_group_size=1)
+    if files:
+        ds = rd.read_parquet(
+            files, override_num_blocks=num_blocks or max(1, len(files)))
+        if rewriter is not None:
+            ds = ds.map_batches(rewriter, batch_format="pyarrow",
+                                batch_size=4, zero_copy_batch=True,
+                                concurrency=concurrency)
+        ds.write_parquet(gdir, compression="none", row_group_size=1)
     if any(f.endswith(".parquet") for f in os.listdir(gdir)):
         lineage = pq.read_table(gdir, columns=LINEAGE_COLS)
     else:
-        src = pq.read_schema(files[0])
+        src = pq.read_schema(files[0] if files else os.path.join(
+            out_dir, "_lineage", f"group-{sources[0]}.parquet"))
         lineage = pa.table({c: pa.array([], src.field(c).type)
                             for c in LINEAGE_COLS})
     meta = _meta_root(out_dir)
@@ -1324,10 +1328,13 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
     # group, so an isin(chunk_id) filter makes point lookups / top-k /
     # sketch fallbacks read bytes proportional to CANDIDATES, not to
     # the surviving groups.  Capped — a huge isin list costs more to
-    # evaluate per row group than the reads it saves.
+    # evaluate per row group than the reads it saves.  A filtered read
+    # is split by its candidate count, not the groups' chunk count: a
+    # split past the rows a file yields leaves empty blocks.
     flt = None
     if chunk_ids is not None and 0 < len(chunk_ids) <= _CHUNK_FILTER_CAP:
         flt = pc.field("chunk_id").isin(sorted(chunk_ids))
+        nblocks = max(len(files), (len(chunk_ids) + cpt - 1) // cpt)
     fkw = {"filter": flt} if flt is not None else {}
     if columns is None:
         enc = rd.read_parquet(files, override_num_blocks=nblocks, **fkw)
@@ -1426,844 +1433,6 @@ def _scope(out_dir: str, snapshot: Optional[str]):
     m = _manifest(out_dir, snapshot)
     return m["groups"], (
         _snap_dir(out_dir, snapshot) if m["deletes"] else None)
-
-
-def count_where(out_dir: str, predicate, concurrency=None,
-                snapshot: Optional[str] = None) -> int:
-    """COUNT(*) pushdown over the encoded corpus: chunks whose zone
-    map proves NO row matches cost nothing, chunks proven ALL-match
-    (min/max band inside the predicate + proven-zero null count, the
-    `__nulls__` stats entry) contribute their live n_rows with ZERO
-    payload decode, and only boundary chunks decode — and then only
-    the predicate columns.  The aggregate answer ("how many docs pass
-    this gate") never materializes a row.  ``snapshot=`` answers as
-    of a named snapshot (pipelines/snapshots.py) instead of live."""
-    from ..stages.decode import normalize_predicates
-    from .chunk_plan import plan_chunks, scan_chunks
-
-    if not normalize_predicates(predicate):
-        raise ValueError("count_where needs at least one predicate; "
-                         "use corpus_summary()['rows'] for the total")
-    plan = plan_chunks(out_dir, predicate, snapshot)
-    # every row matches -> deleting d leaves n - d matches: the
-    # metadata answer stays EXACT under deletions
-    total = sum(c.n_live for c in plan.proven)
-    if plan.maybe:
-        ds = scan_chunks(out_dir, plan, plan.maybe, [], lambda ts: pa.table(
-            {"c": pa.array([sum(t.num_rows for t in ts)], pa.int64())}),
-            concurrency)
-        total += int(ds.sum("c") or 0)
-    return total
-
-
-def aggregate_where(out_dir: str, agg: str, col: str,
-                    predicate=None, concurrency=None,
-                    snapshot: Optional[str] = None):
-    """MIN / MAX / SUM pushdown over one encoded column, optionally
-    under a predicate — the same three-way chunk classification as
-    ``count_where``:
-
-    - no-match chunks cost nothing;
-    - proven chunks answer from METADATA: min/max read the zone
-      bounds (valid with nulls — MIN/MAX ignore nulls, and the bounds
-      are computed over non-nulls), SUM reads the exact per-chunk
-      ``__sums__`` entry (integer columns; needs the proven-zero null
-      count so no null row is inside the matched band);
-    - only boundary chunks decode, and only ``col``.
-
-    With no predicate every chunk answers from metadata (old-format
-    or float chunks fall back to decode).  Returns None on an empty
-    match set.  SQL null semantics throughout (aggregates skip
-    nulls).  ``snapshot=`` answers as of a named snapshot."""
-    from .chunk_plan import plan_chunks, scan_chunks
-
-    if agg not in ("min", "max", "sum"):
-        raise ValueError(f"unsupported agg {agg!r}")
-    plan = plan_chunks(out_dir, predicate, snapshot)
-
-    def _meta_answer(stats: dict):
-        """Metadata answer for a chunk where ALL rows are in scope, or
-        None when this chunk must decode."""
-        if col not in stats:
-            return None
-        if agg == "sum":
-            if plan.preds and stats.get("__nulls__", {}).get(col):
-                return None  # a null row may sit inside the band
-            return stats.get("__sums__", {}).get(col)  # None: decode
-        lo, hi = stats[col]
-        return lo if agg == "min" else hi
-
-    vals, scan = [], list(plan.maybe)
-    for c in plan.proven:
-        # a chunk with ANY deleted rows can't answer from metadata:
-        # its zone bounds / __sums__ include the deleted rows
-        a = _meta_answer(c.stats) if c.dmask is None else None
-        if a is None:
-            scan.append(c)
-        else:
-            vals.append(a)
-    if scan:
-        fn = {"min": pc.min, "max": pc.max, "sum": pc.sum}[agg]
-
-        def fold(ts) -> pa.Table:
-            # per-chunk partials travel as JSON strings: int sums stay
-            # exact (no float64 round-trip past 2^53)
-            vs = [fn(t[col]).as_py() for t in ts]
-            return pa.table({"v": pa.array(
-                [json.dumps(v) for v in vs if v is not None], pa.string())})
-
-        vals += [json.loads(r["v"]) for r in scan_chunks(
-            out_dir, plan, scan, [col], fold, concurrency).take_all()]
-    if not vals:
-        return None
-    if agg == "min":
-        return min(vals)
-    if agg == "max":
-        return max(vals)
-    return sum(vals)
-
-
-def corpus_column_types(out_dir: str) -> dict:
-    """Decoded Arrow type of every column, read from ONE chunk's codec
-    metadata (plan_json + colN_meta of the first committed chunk) —
-    no payload decode.  Lets the pushdowns build TYPED empty results
-    when pruning or predicates eliminate every chunk, so downstream
-    ``pa.concat_tables`` with typed non-empty tables doesn't fail on
-    null-typed schemas.  Returns {} on an empty corpus."""
-    from ..codecs.columns import desc_to_type
-
-    gids = active_groups(out_dir)
-    if not gids:
-        return {}
-    gdir = os.path.join(out_dir, "data", f"group-{gids[0]}")
-    try:
-        f = next(os.path.join(gdir, p) for p in sorted(os.listdir(gdir))
-                 if p.endswith(".parquet"))
-        pf = pq.ParquetFile(f)
-        meta_cols = [c for c in pf.schema_arrow.names
-                     if c == "plan_json" or c.endswith("_meta")]
-        head = pf.read_row_group(0, columns=meta_cols)
-    except (StopIteration, OSError, IndexError):
-        return {}
-    if "plan_json" not in head.column_names or len(head) == 0:
-        return {}
-    names = json.loads(head["plan_json"][0].as_py())
-    out = {}
-    for i, name in enumerate(names):
-        mcol = f"col{i}_meta"
-        if mcol in head.column_names:
-            meta = json.loads(head[mcol][0].as_py())
-            try:
-                out[name] = desc_to_type(meta["atype"])
-            except (KeyError, ValueError):
-                pass
-    return out
-
-
-def _typed_empty(out_dir: str, cols: Sequence[str]) -> pa.Table:
-    """Empty table over ``cols`` with the corpus's decoded dtypes
-    (null type only for columns the corpus has never seen)."""
-    types = corpus_column_types(out_dir)
-    return pa.table({c: pa.array([], type=types.get(c, pa.null()))
-                     for c in cols})
-
-
-def topk_where(out_dir: str, col: str, k: int = 10,
-               columns: Optional[Sequence[str]] = None,
-               descending: bool = True, predicate=None,
-               tie_cols: Sequence[str] = (), concurrency=None,
-               snapshot: Optional[str] = None,
-               return_stats: bool = False) -> pa.Table:
-    """ORDER BY col LIMIT k pushdown over the encoded corpus: only
-    chunks whose zone band can still reach the top-k decode.
-
-    Two phases.  Phase 1 is metadata-only, over the chunk plan
-    (chunk-count rows of stats — KBs per group, never payload): sort
-    chunks by their zone *min* (descending order; *max* when
-    ascending), accumulate live non-null rows until ≥ k — every one
-    of those rows is ≥ the last accumulated chunk's min, so that min
-    is a valid bound T on the k-th value.  Phase 2 decodes only the
-    chunks whose *max* ≥ T, and only ``col`` + ``tie_cols`` +
-    ``columns``; each task emits a local top-k partial and the ≤ k ×
-    tasks survivor rows merge on the driver.  Ties at rank k resolve
-    by ``tie_cols`` (pass them for deterministic output).  Rows with a
-    null ``col`` never rank (SQL NULLS LAST ∩ LIMIT semantics).
-    ``predicate`` AND-filters rows before ranking (zone-pruned like
-    count_where).  ``snapshot=`` answers as of a named snapshot."""
-    from .chunk_plan import plan_chunks, scan_chunks
-
-    plan = plan_chunks(out_dir, predicate, snapshot)
-    out_cols = list(dict.fromkeys([col, *tie_cols, *(columns or [])]))
-    # phase 1: bound T on the k-th value from zone bands alone
-    cands = []  # (far_bound, near_bound, n_live_nonnull, chunk)
-    for proven, chunks in ((True, plan.proven), (False, plan.maybe)):
-        for c in chunks:
-            n_live = c.n_live
-            if n_live <= 0:
-                continue
-            band = c.stats.get(col)
-            if band is None:
-                # no zone band (old format): must always decode
-                cands.append((None, None, 0, c))
-                continue
-            # unknown null count: contribute 0 to the accumulation
-            # (conservative — keeps T a true lower bound); the chunk
-            # still decodes if its band reaches T.  Only PROVEN chunks
-            # may contribute — a may-match chunk's rows aren't
-            # guaranteed to survive the filter, so counting them would
-            # overstate acc and push T past the true k-th passing
-            # value.  A column absent from a present __nulls__ table
-            # has zero nulls (decode.py convention).
-            nt = c.stats.get("__nulls__")
-            n_nonnull = max(0, n_live - int(nt.get(col, 0))) \
-                if proven and nt is not None else 0
-            lo, hi = band
-            near, far = (hi, lo) if descending else (lo, hi)
-            cands.append((far, near, n_nonnull, c))
-    if not cands:
-        empty = _typed_empty(out_dir, out_cols)
-        if return_stats:
-            return empty, {"chunks_total": 0, "chunks_candidate": 0,
-                           "groups_total": len(plan.groups),
-                           "groups_candidate": 0, "threshold": None}
-        return empty
-
-    banded = sorted((c for c in cands if c[0] is not None),
-                    key=lambda c: c[0], reverse=descending)
-    T = None
-    acc = 0
-    for far, _near, nn, _c in banded:
-        acc += nn
-        if acc >= k:
-            T = far  # k rows each ≥ (≤) this chunk's far bound
-            break
-
-    def reaches(c):
-        if c[1] is None or T is None:
-            return True  # bandless chunk / no bound provable: decode
-        return (c[1] >= T) if descending else (c[1] <= T)
-
-    reaching = [c[3] for c in cands if reaches(c)]
-    stats_out = {"chunks_total": len(cands),
-                 "chunks_candidate": len(reaching),
-                 "groups_total": len(plan.groups),
-                 "groups_candidate": len({c.gid for c in reaching}),
-                 "threshold": T}
-    order = [(col, "descending" if descending else "ascending")] + [
-        (c, "ascending") for c in tie_cols
-    ]
-    empty_block = _typed_empty(out_dir, out_cols)
-
-    def fold(ts) -> pa.Table:
-        parts = [t.filter(pc.is_valid(t[col])).select(out_cols) for t in ts]
-        parts = [t for t in parts if t.num_rows]
-        if not parts:
-            return empty_block
-        t = pa.concat_tables(parts)
-        return t.take(pc.sort_indices(t, sort_keys=order)[:k])
-
-    ds = scan_chunks(out_dir, plan, reaching, out_cols, fold, concurrency)
-    # ≤ k rows per decode task survive; merge them Arrow-native so
-    # dtypes round-trip exactly (take_all's dict rows would re-infer)
-    blocks = [b for b in ds.iter_batches(batch_format="pyarrow",
-                                         batch_size=None)
-              if b.num_columns and b.num_rows]
-    if not blocks:
-        empty = _typed_empty(out_dir, out_cols)
-        return (empty, stats_out) if return_stats else empty
-    merged = pa.concat_tables(blocks, promote_options="default")
-    res = merged.take(pc.sort_indices(merged, sort_keys=order)[:k])
-    return (res, stats_out) if return_stats else res
-
-
-def approx_distinct(out_dir: str, col: str, predicate=None,
-                    concurrency=None, snapshot: Optional[str] = None,
-                    return_stats: bool = False):
-    """APPROX COUNT(DISTINCT col) over the encoded corpus, sketch-first.
-
-    Chunks that stored an HLL entry (``encode_corpus(hll_cols=[...])``,
-    stages/bloomzone.py — 1 KiB of registers per chunk riding the
-    stats channel) merge register-wise from the lineage manifests
-    alone: at 100 TB the common case answers from group metadata with
-    ZERO payload reads, because register max is exactly the sketch of
-    the union.  Chunks without a sketch, with delete-masked rows (HLL
-    can't subtract), or only may-matching the ``predicate`` fall back
-    to decoding ``col`` and folding their live qualifying values into
-    the same registers — a distributed scan of just those chunks, so
-    a freshly-deleted 1% of the corpus costs 1% of a scan, not a full
-    re-read.  Estimator error ~3.2% (p=10, Flajolet et al. 2007).
-    ``snapshot=`` answers as of a named snapshot."""
-    import base64
-
-    import numpy as np
-
-    from ..stages.bloomzone import (
-        HLL_P,
-        hash_into_hll,
-        hll_estimate,
-        hll_registers,
-    )
-    from .chunk_plan import plan_chunks, scan_chunks
-
-    plan = plan_chunks(out_dir, predicate, snapshot)
-    regs = np.zeros(1 << HLL_P, dtype=np.uint8)
-    scan = list(plan.maybe)
-    for c in plan.proven:
-        he = c.stats.get("__hll__", {}).get(col)
-        if he is not None and he.get("p") == HLL_P and c.dmask is None:
-            regs = np.maximum(regs, hll_registers(he))
-        else:
-            scan.append(c)
-    n_sketched = len(plan.proven) + len(plan.maybe) - len(scan)
-
-    if scan:
-        def fold(ts) -> pa.Table:
-            r = np.zeros(1 << HLL_P, dtype=np.uint8)
-            for t in ts:
-                r = hash_into_hll(t[col], r)
-            return pa.table({"regs": pa.array(
-                [base64.b64encode(r.tobytes()).decode()])})
-
-        for d in scan_chunks(out_dir, plan, scan, [col], fold,
-                             concurrency).take_all():
-            regs = np.maximum(regs, np.frombuffer(
-                base64.b64decode(d["regs"]), dtype=np.uint8))
-
-    est = float(hll_estimate(regs))
-    if return_stats:
-        return est, {"chunks_total": len(plan.proven) + len(plan.maybe),
-                     "chunks_sketched": n_sketched,
-                     "chunks_scanned": len({c.key for c in scan})}
-    return est
-
-
-def _quant_grid(qe: dict) -> tuple:
-    """A stored ``__quant__`` entry -> (int64 grid, weight per point)."""
-    import numpy as np
-
-    s = np.asarray(qe["s"], dtype=np.int64)
-    return s, qe["n"] / len(s)
-
-
-def _require_int_column(out_dir: str, col: str) -> None:
-    """Quantile grids exist for integer columns only; a float column
-    would be truncated by the int64 merge, so it is refused."""
-    t = corpus_column_types(out_dir).get(col)
-    if t is not None and not pa.types.is_integer(t):
-        raise ValueError(
-            f"approx quantiles need an integer column; {col!r} is {t}")
-
-
-def approx_quantiles(out_dir: str, col: str, qs=(0.25, 0.5, 0.75),
-                     predicate=None, concurrency=None,
-                     snapshot: Optional[str] = None,
-                     return_stats: bool = False):
-    """APPROX quantiles of one integer column over the encoded corpus,
-    sketch-first — the quantile member of the pushdown aggregate
-    family (count/sum/min/max/distinct/topk/grouped).
-
-    Chunks that stored a quantile grid
-    (``encode_corpus(quantile_cols=[...], quantile_k=K)``,
-    stages/bloomzone.build_quant — K evenly-spaced order statistics of
-    the chunk's sorted non-null values) answer from the lineage
-    manifests alone: each grid point carries weight n/K and the merged
-    weighted type-1 quantile (the ``quantile_disc`` convention) is
-    within ~1/K of chunk mass per chunk.  When K >= chunk rows the
-    grid lists EVERY value and the merge is EXACT — the
-    oracle-anchored regime (mirroring approx_distinct's
-    linear-counting anchor).  Chunks without a grid, with
-    delete-masked rows, or only may-matching ``predicate`` fall back
-    to decoding ``col`` for just those chunks (exact values, weight
-    1).  Rows with null ``col`` never contribute (SQL aggregate
-    semantics).  A non-integer ``col`` raises ValueError.  Returns
-    [value per q] (None entries when no rows qualify); ``snapshot=``
-    answers as of a named snapshot."""
-    import numpy as np
-
-    from ..stages.bloomzone import merge_quant_grids
-    from .chunk_plan import plan_chunks, scan_chunks
-
-    qs = list(qs)
-    if any(not (0.0 <= q <= 1.0) for q in qs):
-        raise ValueError(f"quantiles must be in [0, 1]: {qs!r}")
-    _require_int_column(out_dir, col)
-    plan = plan_chunks(out_dir, predicate, snapshot)
-    grids = []          # (np values, weight per point)
-    scan = list(plan.maybe)
-    for c in plan.proven:
-        qe = c.stats.get("__quant__", {}).get(col)
-        if qe is not None and c.dmask is None:
-            grids.append(_quant_grid(qe))
-        else:
-            scan.append(c)
-    n_sketched = len(grids)
-
-    if scan:
-        def fold(ts) -> pa.Table:
-            vals = [t[col].drop_null().to_numpy(zero_copy_only=False)
-                    for t in ts]
-            out = (np.concatenate(vals).astype(np.int64)
-                   if vals else np.zeros(0, np.int64))
-            return pa.table({"v": pa.array(out, pa.int64())})
-
-        for b in scan_chunks(out_dir, plan, scan, [col], fold, concurrency
-                             ).iter_batches(batch_format="pyarrow",
-                                            batch_size=None):
-            if b.num_rows:
-                grids.append((b["v"].to_numpy(zero_copy_only=False), None))
-
-    res = merge_quant_grids(grids, qs)
-    if return_stats:
-        return res, {"chunks_total": len(plan.proven) + len(plan.maybe),
-                     "chunks_sketched": n_sketched,
-                     "chunks_scanned": len({c.key for c in scan})}
-    return res
-
-
-def grouped_approx_quantiles(out_dir: str, group_col: str, col: str,
-                             qs=(0.25, 0.5, 0.75), concurrency=None,
-                             snapshot: Optional[str] = None,
-                             return_stats: bool = False):
-    """Per-GROUP approx quantiles over the encoded corpus — the
-    grouped member of the quantile pushdown (``approx_quantiles``'s
-    analog of ``group_aggregates``): a chunk proven single-group
-    (group band lo == hi, zero group nulls, unmasked) contributes its
-    quantile grid to that group's merge with zero payload decode;
-    mixed-group, masked or grid-less chunks decode group+value
-    columns and contribute exact values.  EXACT when every
-    contributing grid is full (quantile_k >= chunk rows) — on a
-    group-clustered corpus the whole answer is a manifest scan.
-    Returns a pandas frame (group, q, value) sorted by (group, q);
-    group keys are stringified like ``group_counts``."""
-    import numpy as np
-    import pandas as pd
-
-    from ..stages.bloomzone import merge_quant_grids
-    from .chunk_plan import plan_chunks, scan_chunks, single_group
-
-    qs = list(qs)
-    if any(not (0.0 <= q <= 1.0) for q in qs):
-        raise ValueError(f"quantiles must be in [0, 1]: {qs!r}")
-    _require_int_column(out_dir, col)
-    plan = plan_chunks(out_dir, None, snapshot)
-    grids: dict = {}     # group key (str) -> [(values, weight)]
-    scan = []
-    for c in plan.proven:
-        g = single_group(c.stats, group_col)
-        qe = c.stats.get("__quant__", {}).get(col)
-        if g is not None and qe is not None and c.dmask is None:
-            grids.setdefault(str(g), []).append(_quant_grid(qe))
-        else:
-            scan.append(c)
-    n_sketched = len(plan.proven) - len(scan)
-
-    if scan:
-        def fold(ts) -> pa.Table:
-            gs, vs = [], []
-            for t in ts:
-                t = t.filter(pc.and_(pc.is_valid(t[group_col]),
-                                     pc.is_valid(t[col])))
-                if t.num_rows:
-                    gs += [str(x) for x in t[group_col].to_pylist()]
-                    vs.append(t[col].to_numpy(zero_copy_only=False)
-                              .astype(np.int64))
-            return pa.table({
-                "g": pa.array(gs, pa.string()),
-                "v": pa.array(np.concatenate(vs) if vs
-                              else np.zeros(0, np.int64), pa.int64()),
-            })
-
-        df = scan_chunks(out_dir, plan, scan, [group_col, col], fold,
-                         concurrency).to_pandas()
-        if not df.empty:
-            for g, sub in df.groupby("g"):
-                grids.setdefault(str(g), []).append(
-                    (sub["v"].to_numpy(), None))
-
-    rows = {"q": [], "value": [], group_col: []}
-    for g in sorted(grids):
-        vals = merge_quant_grids(grids[g], qs)
-        for q, v in zip(qs, vals):
-            rows[group_col].append(g)
-            rows["q"].append(float(q))
-            rows["value"].append(v)
-    out = pd.DataFrame(rows)[[group_col, "q", "value"]]
-    out["value"] = out["value"].astype("int64") \
-        if out["value"].notna().all() and len(out) else out["value"]
-    out = out.sort_values([group_col, "q"]).reset_index(drop=True)
-    if return_stats:
-        return out, {"chunks_sketched": n_sketched,
-                     "chunks_scanned": len({c.key for c in scan})}
-    return out
-
-
-def _group_partials(meta: dict, scan, max_driver_groups: int, aggs):
-    """Per-group partial rows of a grouped pushdown as one pandas
-    frame: the metadata answers (``meta``: column -> list, computed on
-    the driver) plus the scan's per-task partials.  Driver-small scan
-    results (≤ max_driver_groups partial rows ≈ tasks × groups) come
-    over as they are; above the guard they are pre-merged by a
-    distributed Ray groupby over the partials Dataset (never the
-    corpus) — mirroring relational._lattice_levels_distributed — so
-    the driver only receives groups-sized frames.  The caller folds
-    the result with one pandas groupby."""
-    import pandas as pd
-
-    frames = [pa.table(meta).to_pandas()]
-    if scan is not None:
-        scan = scan.materialize()
-        if scan.count() > max_driver_groups:
-            frames.append(scan.groupby("g").aggregate(*aggs).to_pandas())
-        else:
-            frames.append(scan.to_pandas())
-    return pd.concat([f for f in frames if len(f)] or frames[:1],
-                     ignore_index=True)
-
-
-def group_counts(out_dir: str, group_col: str,
-                 value_col: Optional[str] = None, concurrency=None,
-                 snapshot: Optional[str] = None,
-                 max_driver_groups: int = 100_000):
-    """Per-group row counts (and optional integer-column sums) over
-    the encoded corpus, metadata-first: a chunk whose ``group_col``
-    zone band has lo == hi provably holds ONE group — its n_rows (and
-    exact ``__sums__`` entry) contribute without any payload decode.
-    Only mixed-group chunks decode, and only the needed columns.
-
-    On a ``partition_by``/``cluster_by``-aligned corpus every chunk is
-    single-group and the whole answer is a lineage scan — the
-    partition-aligned aggregate story at 100 TB.  Returns a pandas
-    frame (group, n_rows[, sum_<value_col>]) sorted by group; group
-    keys are returned as strings (zone bands and decoded values
-    unify there), and null-group rows follow the zone convention
-    (only non-null groups are counted).  ``snapshot=`` answers as of
-    a named snapshot."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
-    from .chunk_plan import plan_chunks, scan_chunks, single_group
-
-    cols = [group_col] + ([value_col] if value_col else [])
-    plan = plan_chunks(out_dir, None, snapshot)
-    meta = {"g": [], "n": [], "s": []}
-    scan = []
-    for c in plan.proven:
-        g = single_group(c.stats, group_col)
-        ssum = c.stats.get("__sums__", {}).get(value_col) \
-            if value_col else None
-        if g is not None and c.dmask is None and \
-                (value_col is None or ssum is not None):
-            n, s = c.n_rows, int(ssum or 0)
-        elif g is not None and value_col is None:
-            # single-group chunk: counts stay metadata-exact under
-            # deletions (n_rows - n_deleted); sums must decode
-            n, s = c.n_live, 0
-        else:
-            scan.append(c)
-            continue
-        meta["g"].append(str(g))
-        meta["n"].append(n)
-        meta["s"].append(s)
-    meta = {"g": pa.array(meta["g"], pa.string()),
-            "n": pa.array(meta["n"], pa.int64()),
-            "s": pa.array(meta["s"], pa.int64())}
-
-    def fold(ts) -> pa.Table:
-        agg: dict = {}
-        for t in ts:
-            gv = t[group_col].to_pandas()
-            if value_col:
-                vv = pd.Series(t[value_col].to_pandas()).fillna(0)
-                sums = vv.groupby(gv).sum()
-                counts = gv.groupby(gv).size()
-                for g in counts.index:
-                    cur = agg.setdefault(g, [0, 0])
-                    cur[0] += int(counts[g])
-                    cur[1] += int(sums[g])
-            else:
-                for g, n in gv.value_counts().items():
-                    agg.setdefault(g, [0, 0])[0] += int(n)
-        ks = sorted(agg)
-        return pa.table({
-            "g": pa.array([str(k) for k in ks], pa.string()),
-            "n": pa.array([agg[k][0] for k in ks], pa.int64()),
-            "s": pa.array([agg[k][1] for k in ks], pa.int64()),
-        })
-
-    df = _group_partials(
-        meta, scan_chunks(out_dir, plan, scan, cols, fold, concurrency)
-        if scan else None, max_driver_groups,
-        [Sum("n", alias_name="n"), Sum("s", alias_name="s")])
-    out = df.groupby("g", as_index=False).agg(n_rows=("n", "sum"),
-                                              s=("s", "sum"))
-    out = out.rename(columns={"g": group_col})
-    if value_col:
-        out = out.rename(columns={"s": f"sum_{value_col}"})
-    else:
-        out = out.drop(columns=["s"])
-    return out.sort_values(group_col).reset_index(drop=True)
-
-
-def summary_where(out_dir: str, col: str, predicate=None,
-                  concurrency=None, snapshot: Optional[str] = None) -> dict:
-    """COUNT / SUM / MIN / MAX of one integer column in ONE pass —
-    what would otherwise be count_where + 3 aggregate_where scans.
-    Same 3-way chunk classification: no-match chunks free, proven
-    all-match chunks contribute n_rows + ``__sums__`` + their zone
-    band from metadata, boundary chunks decode col + predicate
-    columns only.  Returns {"count", "sum", "min", "max"} with SQL
-    null semantics (count counts matching ROWS; sum/min/max skip
-    nulls; min/max are None on an empty match set)."""
-    from .chunk_plan import plan_chunks, scan_chunks
-
-    plan = plan_chunks(out_dir, predicate, snapshot)
-    n = s = 0
-    mns, mxs = [], []
-    scan = list(plan.maybe)
-    for c in plan.proven:
-        band = c.stats.get(col)
-        ssum = c.stats.get("__sums__", {}).get(col)
-        if (c.dmask is None and band is not None and ssum is not None
-                and "__nulls__" in c.stats
-                and not c.stats["__nulls__"].get(col)):
-            n += c.n_rows
-            s += int(ssum)
-            mns.append(int(band[0]))
-            mxs.append(int(band[1]))
-        else:
-            scan.append(c)
-
-    def fold(ts) -> pa.Table:
-        n = s = 0
-        mn = mx = None
-        for t in ts:
-            n += t.num_rows
-            v = t[col]
-            s += int(pc.sum(v).as_py() or 0)
-            mm = pc.min_max(v)
-            vlo, vhi = mm["min"].as_py(), mm["max"].as_py()
-            if vlo is not None:
-                mn = vlo if mn is None else min(mn, vlo)
-                mx = vhi if mx is None else max(mx, vhi)
-        return pa.table({"n": pa.array([n], pa.int64()),
-                         "s": pa.array([s], pa.int64()),
-                         "mn": pa.array([mn], pa.int64()),
-                         "mx": pa.array([mx], pa.int64())})
-
-    if scan:
-        for p in scan_chunks(out_dir, plan, scan, [col], fold,
-                             concurrency).take_all():
-            n += p["n"]
-            s += p["s"]
-            if p["mn"] is not None:
-                mns.append(p["mn"])
-                mxs.append(p["mx"])
-    return {"count": int(n), "sum": int(s),
-            "min": int(min(mns)) if mns else None,
-            "max": int(max(mxs)) if mxs else None}
-
-
-def grouped_topk_where(out_dir: str, group_col: str, value_col: str,
-                       k: int = 3, columns: Optional[Sequence[str]] = None,
-                       descending: bool = True,
-                       tie_cols: Sequence[str] = (), concurrency=None,
-                       snapshot: Optional[str] = None,
-                       return_stats: bool = False,
-                       max_driver_groups: int = 100_000):
-    """Top-k rows PER GROUP over the encoded corpus — ``topk_where``'s
-    bound computed per group key from the manifests.
-
-    Phase 1 walks the chunk plan: chunks proven single-group (group
-    band lo == hi, zero group nulls) accumulate per-key live non-null
-    rows in zone-min order until ≥ k, bounding that key's k-th value
-    T_g; a single-group chunk whose value band can't reach its own T_g
-    is pruned.  Mixed-group chunks can't prove which keys they hold,
-    so they always decode (and never contribute to any T_g — bounds
-    stay true).  On a group-clustered / partitioned layout every chunk
-    is single-group and the scan shrinks to ~k rows' worth of chunks
-    per key; unaligned layouts degrade to a full decode, never to a
-    wrong answer.  Phase 2 decodes candidates, keeps per-(task, group)
-    top-k partials, and merges ≤ k × groups × tasks rows on the
-    driver.  Deletes subtract/mask; value nulls never rank."""
-    from .chunk_plan import plan_chunks, scan_chunks, single_group
-
-    plan = plan_chunks(out_dir, None, snapshot)
-    single: dict = {}   # key -> [(far, near, n_nonnull, chunk)]
-    mixed = []          # always decode
-    for c in plan.proven:
-        n_live = c.n_live
-        if n_live <= 0:
-            continue
-        g = single_group(c.stats, group_col)
-        vband = c.stats.get(value_col)
-        if g is None or vband is None:
-            mixed.append(c)
-            continue
-        n_nonnull = max(0, n_live - int(
-            c.stats["__nulls__"].get(value_col, 0)))
-        lo, hi = vband
-        near, far = (hi, lo) if descending else (lo, hi)
-        single.setdefault(g, []).append((far, near, n_nonnull, c))
-
-    cand = list(mixed)
-    for chunks in single.values():
-        chunks.sort(key=lambda x: x[0], reverse=descending)
-        T = None
-        acc = 0
-        for far, _near, nn, _c in chunks:
-            acc += nn
-            if acc >= k:
-                T = far
-                break
-        cand += [c for _far, near, _nn, c in chunks
-                 if T is None or ((near >= T) if descending else (near <= T))]
-
-    out_cols = list(dict.fromkeys(
-        [group_col, value_col, *tie_cols, *(columns or [])]))
-    stats_out = {"chunks_total": len(mixed) + sum(map(len, single.values())),
-                 "chunks_candidate": len(cand),
-                 "chunks_mixed": len(mixed)}
-    if not cand:
-        empty = _typed_empty(out_dir, out_cols)
-        return (empty, stats_out) if return_stats else empty
-
-    order = [(value_col, "descending" if descending else "ascending")] + [
-        (c, "ascending") for c in tie_cols
-    ]
-    # typed empty for all-pruned tasks, so Ray never sees a
-    # schema-less RefBundle and the distributed-merge groupby works
-    empty_block = _typed_empty(out_dir, out_cols)
-
-    def _topk_per_group(t: pa.Table) -> pa.Table:
-        df = t.select(out_cols).to_pandas()
-        df = df[df[value_col].notna()]
-        df = df.sort_values(
-            [value_col, *tie_cols],
-            ascending=[not descending] + [True] * len(tie_cols))
-        return pa.Table.from_pandas(
-            df.groupby(group_col, sort=False).head(k),
-            preserve_index=False)
-
-    def fold(ts) -> pa.Table:
-        parts = [t.select(out_cols) for t in ts]
-        return _topk_per_group(pa.concat_tables(parts)) if parts \
-            else empty_block
-
-    ds = scan_chunks(out_dir, plan, cand, out_cols, fold, concurrency)
-    # Merge the ≤ k-per-(group, task) survivors.  Driver-small merges
-    # concat + one pandas top-k; above max_driver_groups survivor rows
-    # the per-group head runs as a distributed Ray groupby over the
-    # partials (never the corpus) — same guard as group_counts.
-    ds = ds.materialize()
-    n_partial = ds.count()
-    if n_partial == 0:
-        empty = _typed_empty(out_dir, out_cols)
-        return (empty, stats_out) if return_stats else empty
-    if n_partial > max_driver_groups:
-        import pandas as pd
-
-        asc = [not descending] + [True] * len(tie_cols)
-
-        def _head_df(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[df[value_col].notna()]
-            df = df.sort_values([value_col, *tie_cols], ascending=asc,
-                                kind="mergesort")
-            return df.head(k)
-
-        merged = pa.Table.from_pandas(
-            ds.groupby(group_col).map_groups(
-                _head_df, batch_format="pandas").to_pandas(),
-            preserve_index=False).select(out_cols)
-    else:
-        blocks = [b for b in ds.iter_batches(batch_format="pyarrow",
-                                             batch_size=None)
-                  if b.num_columns and b.num_rows]
-        merged = _topk_per_group(
-            pa.concat_tables(blocks, promote_options="default"))
-    merged = merged.take(pc.sort_indices(
-        merged, sort_keys=[(group_col, "ascending")] + order))
-    return (merged, stats_out) if return_stats else merged
-
-
-def group_aggregates(out_dir: str, group_col: str, value_col: str,
-                     concurrency=None, snapshot: Optional[str] = None,
-                     max_driver_groups: int = 100_000):
-    """Per-group COUNT / SUM / MIN / MAX over one integer column of
-    the encoded corpus — ``group_counts`` extended with the min/max
-    bounds the zone maps already store: a chunk proven single-group
-    (group band lo == hi, zero group nulls) and un-masked contributes
-    its n_rows, its exact ``__sums__`` entry, AND its value band's
-    [lo, hi] as the group's chunk-local min/max, all with zero payload
-    decode.  Only mixed-group or delete-masked chunks decode (group +
-    value columns only).  Returns a pandas frame (group, n_rows,
-    sum_/min_/max_<value_col>) sorted by group; groups are stringified
-    like ``group_counts``; value nulls follow SQL semantics (skipped
-    by SUM/MIN/MAX, counted by n_rows).  ``snapshot=`` as usual."""
-    import pandas as pd
-    from ray.data.aggregate import Max, Min, Sum
-
-    from .chunk_plan import plan_chunks, scan_chunks, single_group
-
-    plan = plan_chunks(out_dir, None, snapshot)
-    meta = {"g": [], "n": [], "s": [], "mn": [], "mx": []}
-    scan = []
-    for c in plan.proven:
-        g = single_group(c.stats, group_col)
-        vband = c.stats.get(value_col)
-        ssum = c.stats.get("__sums__", {}).get(value_col)
-        if g is None or c.dmask is not None or ssum is None \
-                or vband is None:
-            scan.append(c)
-            continue
-        for k, v in zip(meta, (str(g), c.n_rows, int(ssum),
-                               int(vband[0]), int(vband[1]))):
-            meta[k].append(v)
-    meta = {k: pa.array(v, pa.string() if k == "g" else pa.int64())
-            for k, v in meta.items()}
-
-    def fold(ts) -> pa.Table:
-        agg: dict = {}  # g -> [n, s, mn, mx]
-        for t in ts:
-            gv = t[group_col].to_pandas()
-            vv = pd.Series(t[value_col].to_pandas())
-            grp = vv.groupby(gv)
-            counts = gv.groupby(gv).size()
-            sums, mns, mxs = grp.sum(), grp.min(), grp.max()
-            for g in counts.index:
-                cur = agg.setdefault(g, [0, 0, None, None])
-                cur[0] += int(counts[g])
-                cur[1] += 0 if pd.isna(sums.get(g)) else int(sums[g])
-                mn, mx = mns.get(g), mxs.get(g)
-                if not pd.isna(mn):
-                    cur[2] = int(mn) if cur[2] is None else min(cur[2], int(mn))
-                if not pd.isna(mx):
-                    cur[3] = int(mx) if cur[3] is None else max(cur[3], int(mx))
-        ks = sorted(agg)
-        return pa.table({
-            "g": pa.array([str(k) for k in ks], pa.string()),
-            "n": pa.array([agg[k][0] for k in ks], pa.int64()),
-            "s": pa.array([agg[k][1] for k in ks], pa.int64()),
-            "mn": pa.array([agg[k][2] for k in ks], pa.int64()),
-            "mx": pa.array([agg[k][3] for k in ks], pa.int64()),
-        })
-
-    df = _group_partials(
-        meta, scan_chunks(out_dir, plan, scan, [group_col, value_col],
-                          fold, concurrency) if scan else None,
-        max_driver_groups,
-        [Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-         Min("mn", alias_name="mn"), Max("mx", alias_name="mx")])
-    out = df.groupby("g", as_index=False).agg(
-        n_rows=("n", "sum"), s=("s", "sum"),
-        mn=("mn", "min"), mx=("mx", "max"))
-    out = out.rename(columns={"g": group_col,
-                              "s": f"sum_{value_col}",
-                              "mn": f"min_{value_col}",
-                              "mx": f"max_{value_col}"})
-    for c in (f"min_{value_col}", f"max_{value_col}"):
-        if out[c].notna().all():
-            out[c] = out[c].astype("int64")
-    return out.sort_values(group_col).reset_index(drop=True)
 
 
 def roundtrip_verify(original_ds, decoded_ds, columns: Sequence[str]) -> dict:

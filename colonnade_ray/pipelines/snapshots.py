@@ -189,6 +189,10 @@ def restore_snapshot(out_dir: str, tag: str, gc: bool = True,
             continue  # pinned group vacuumed to zero rows pre-snapshot
         key = tuple(pq.read_schema(fs[0]).names)
         cohorts.setdefault(key, []).extend(fs)
+    if not cohorts:
+        # every pinned group was vacuumed to zero rows: one empty cohort
+        # still commits, and its shadow rolls the live corpus back
+        cohorts[()] = []
 
     def _ngid(i: int, k: int) -> str:
         h = hashlib.blake2b(digest_size=8)

@@ -223,7 +223,6 @@ def build_quant(arr, k: int = QUANT_K) -> Optional[dict]:
     becomes EXACT (the oracle-anchored regime).  Floats/strings return
     None (zone bands still bound their range)."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()

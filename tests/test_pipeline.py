@@ -946,6 +946,189 @@ def test_chunk_planner_closed_form(tmp_path, ray_session, monkeypatch):
     assert sorted(c.n_live for c in plan.proven)[:2] == [63, 64]
 
 
+def test_pushdowns_scan_once_through_one_consumer(tmp_path, ray_session,
+                                                  monkeypatch):
+    """Every pushdown plans, scans at most once and consumes that scan
+    through one streaming read: with every other Dataset consumer
+    patched to raise (no ``sum``'s aggregate plan, no schema probe, no
+    ``materialize`` + ``count``, no distributed ``groupby``), all ten
+    still answer like a pyarrow oracle over the live rows.  The corpus
+    has proven chunks, maybe chunks, mixed-group chunks and partial
+    delete masks, so metadata answers and scan partials both merge."""
+    import ray.data as rd
+
+    from colonnade_ray.pipelines import (
+        aggregate_where,
+        approx_distinct,
+        approx_quantiles,
+        chunk_plan,
+        count_where,
+        delete_where,
+        group_aggregates,
+        group_counts,
+        grouped_approx_quantiles,
+        grouped_topk_where,
+        summary_where,
+        topk_where,
+    )
+
+    n = 1024
+    v = np.arange(n)
+    # 16 chunks of 64 rows; g = (v + 32) // 128 makes every other
+    # chunk span two groups
+    t = pa.table({"doc_id": pa.array([f"d{i:05d}" for i in v]),
+                  "n_tok": pa.array(v, pa.int64()),
+                  "g": pa.array((v + 32) // 128, pa.int64())})
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(t.take(np.random.default_rng(5).permutation(n)),
+                   src / "p0.parquet")
+    out = str(tmp_path / "enc")
+    encode_corpus(str(src), out, batch_size=64, cluster_by="n_tok",
+                  hll_cols=["doc_id"], quantile_cols=["n_tok"],
+                  quantile_k=64)
+    gone = [70, 300, 301, 900]
+    delete_where(out, ("n_tok", "in", gone))
+    live = t.filter(pa.compute.invert(pa.compute.is_in(
+        t["n_tok"], pa.array(gone, pa.int64())))).to_pandas()
+    band = [("n_tok", ">=", 100), ("n_tok", "<", 600)]
+    sub = live[(live.n_tok >= 100) & (live.n_tok < 600)]
+    vals = np.sort(sub.n_tok.to_numpy())
+
+    def disc(x, q):  # quantile_disc of sorted x
+        return int(x[max(0, int(np.ceil(q * x.size)) - 1)])
+
+    def refuse(name):
+        def consumer(*a, **k):
+            raise AssertionError(f"pushdown consumed a Dataset via {name}")
+        return consumer
+
+    scans, consumed = [], []
+    real_scan, real_iter = chunk_plan.scan_chunks, rd.Dataset.iter_batches
+
+    def scan_chunks(*a, **k):
+        scans.append(real_scan(*a, **k))
+        return scans[-1]
+
+    def iter_batches(self, *a, **k):
+        consumed.append(self)
+        return real_iter(self, *a, **k)
+
+    def run(fn, *a, **k):
+        scans.clear()
+        consumed.clear()
+        res = fn(*a, **k)
+        assert len(scans) <= 1, fn.__name__
+        assert [id(d) for d in consumed] == [id(d) for d in scans], \
+            fn.__name__
+        return res
+
+    with monkeypatch.context() as mp:
+        for name in ("sum", "min", "max", "aggregate", "take", "take_all",
+                     "take_batch", "count", "materialize", "to_pandas",
+                     "to_arrow_refs", "groupby", "iter_rows", "schema"):
+            mp.setattr(rd.Dataset, name, refuse(name))
+        mp.setattr(rd.Dataset, "iter_batches", iter_batches)
+        mp.setattr(chunk_plan, "scan_chunks", scan_chunks)
+
+        assert run(count_where, out, band) == len(sub)
+        assert len(scans) == 1  # the two boundary chunks decode
+        for agg in ("sum", "min", "max"):
+            assert run(aggregate_where, out, agg, "n_tok", band) == \
+                getattr(sub.n_tok, agg)()
+        assert run(summary_where, out, "n_tok", band) == {
+            "count": len(sub), "sum": int(sub.n_tok.sum()),
+            "min": int(sub.n_tok.min()), "max": int(sub.n_tok.max())}
+        got = run(topk_where, out, "n_tok", k=10, predicate=band,
+                  tie_cols=["doc_id"], columns=["g"]).to_pandas()
+        want = sub.sort_values("n_tok", ascending=False).head(10)
+        pd.testing.assert_frame_equal(
+            got, want[["n_tok", "doc_id", "g"]].reset_index(drop=True))
+        est = run(approx_distinct, out, "doc_id", predicate=band)
+        assert abs(est - len(sub)) <= 0.1 * len(sub)
+        qs = [0.1, 0.5, 0.9]
+        assert run(approx_quantiles, out, "n_tok", qs, predicate=band) == \
+            [disc(vals, q) for q in qs]
+        got = run(grouped_approx_quantiles, out, "g", "n_tok", [0.5])
+        assert got["value"].tolist() == [
+            disc(np.sort(x.to_numpy()), 0.5)
+            for _, x in live.groupby("g").n_tok]
+        by_g = live.groupby("g").n_tok
+        want = pd.DataFrame({"g": [str(g) for g in by_g.size().index],
+                             "n_rows": by_g.size().to_numpy(),
+                             "sum_n_tok": by_g.sum().to_numpy(),
+                             "min_n_tok": by_g.min().to_numpy(),
+                             "max_n_tok": by_g.max().to_numpy()})
+        pd.testing.assert_frame_equal(
+            run(group_counts, out, "g", "n_tok"),
+            want[["g", "n_rows", "sum_n_tok"]])
+        pd.testing.assert_frame_equal(run(group_aggregates, out, "g",
+                                          "n_tok"), want)
+        got = run(grouped_topk_where, out, "g", "n_tok", k=3,
+                  tie_cols=["doc_id"]).to_pandas()
+        want = live.sort_values(["g", "n_tok"], ascending=[True, False]) \
+            .groupby("g").head(3)
+        pd.testing.assert_frame_equal(
+            got, want[["g", "n_tok", "doc_id"]].reset_index(drop=True))
+
+
+def test_pushdowns_after_vacuum_empties_first_group(tmp_path, ray_session,
+                                                    monkeypatch):
+    """A vacuum that drops every row of one group leaves it active with
+    no data file.  When that group sorts first, the pushdowns must
+    still type their partials from a group that has rows: the top-k
+    pushdowns answer like pandas over the live rows, and a float
+    ``value_col`` is refused with ValueError rather than truncated.
+    Group ids hash the input paths, so which group sorts first varies
+    from run to run; the pushdown module's group order is patched to
+    put the empty group first."""
+    from colonnade_ray.pipelines import (
+        delete_where,
+        group_counts,
+        grouped_topk_where,
+        pushdown,
+        topk_where,
+        vacuum_deletes,
+    )
+    from colonnade_ray.pipelines.encode_pipeline import _group_files, \
+        active_groups
+
+    def rows(lo):
+        v = np.arange(lo, lo + 200)
+        return pa.table({"doc_id": pa.array([f"d{i:05d}" for i in v]),
+                         "n_tok": pa.array(v, pa.int64()),
+                         "g": pa.array(v % 7, pa.int64()),
+                         "x": pa.array(v / 4.0)})
+
+    out = str(tmp_path / "enc")
+    for name, lo, append in (("a", 0, False), ("b", 1000, True)):
+        (tmp_path / name).mkdir()
+        pq.write_table(rows(lo), tmp_path / name / "p0.parquet")
+        encode_corpus([str(tmp_path / name / "p0.parquet")], out,
+                      batch_size=64, append=append)
+    delete_where(out, ("n_tok", "<", 200))   # every row of group a
+    delete_where(out, ("n_tok", ">=", 1150))  # part of group b
+    vacuum_deletes(out)
+    gids = sorted(active_groups(out),
+                  key=lambda g: bool(_group_files(out, g)))
+    assert len(gids) == 2 and _group_files(out, gids[0]) == []
+    monkeypatch.setattr(pushdown, "active_groups", lambda _: gids)
+    live = rows(1000).to_pandas().query("n_tok < 1150")
+
+    got = topk_where(out, "n_tok", k=5, columns=["doc_id"]).to_pandas()
+    want = live.sort_values("n_tok", ascending=False).head(5)
+    pd.testing.assert_frame_equal(
+        got, want[["n_tok", "doc_id"]].reset_index(drop=True))
+    got = grouped_topk_where(out, "g", "n_tok", k=2,
+                             columns=["doc_id"]).to_pandas()
+    want = live.sort_values(["g", "n_tok"], ascending=[True, False]) \
+        .groupby("g").head(2)
+    pd.testing.assert_frame_equal(
+        got, want[["g", "n_tok", "doc_id"]].reset_index(drop=True))
+    with pytest.raises(ValueError, match="integer column"):
+        group_counts(out, "g", "x")
+
+
 def test_cluster_by_narrows_zone_bands(corpus_dir, tmp_path, ray_session):
     """cluster_by sorts each read block before chunking: round-trip
     stays bit-identical (multiset), and a band predicate becomes
@@ -1570,12 +1753,14 @@ def test_lengths_ref_projected_decode_corpus(corpus_dir, tmp_path, ray_session):
     )
 
 
-def test_grouped_pushdowns_distributed_merge_equivalence(tmp_path, ray_session):
-    """Forcing the distributed-merge path (max_driver_groups=0) yields
-    byte-identical output to the driver-dict path on group_counts,
-    group_aggregates, and grouped_topk_where — including under
-    delete masks — so the scale fallback is a pure merge-strategy
-    swap, never a semantics change."""
+def test_grouped_pushdowns_match_pandas_oracle(tmp_path, ray_session,
+                                               monkeypatch):
+    """group_counts, group_aggregates and grouped_topk_where under a
+    delete mask match pandas over the live rows, descending and
+    ascending, with tie_cols and a ``columns=`` projection.  Six
+    encoded files make the driver merge more than two scan partials."""
+    import ray.data as rd
+
     from colonnade_ray.pipelines import (
         delete_where,
         group_aggregates,
@@ -1592,32 +1777,55 @@ def test_grouped_pushdowns_distributed_merge_equivalence(tmp_path, ray_session):
     })
     src_dir = tmp_path / "in"
     src_dir.mkdir()
-    pq.write_table(t, src_dir / "p0.parquet")
+    for i in range(6):  # one scan task per encoded file
+        pq.write_table(t.slice(1000 * i, 1000), src_dir / f"p{i}.parquet")
     out = str(tmp_path / "enc")
-    encode_corpus(str(src_dir), out, batch_size=256, cluster_by="src")
+    encode_corpus(str(src_dir), out, batch_size=128, cluster_by="src")
     delete_where(out, ("v", ">=", 48_000))  # exercise masked chunks
+    live = t.to_pandas()
+    live = live[live.v < 48_000]
 
-    gc_drv = group_counts(out, "src", "v")
-    gc_dst = group_counts(out, "src", "v", max_driver_groups=0)
-    pd.testing.assert_frame_equal(gc_drv, gc_dst)
+    partials = []
+    real_iter = rd.Dataset.iter_batches
 
-    ga_drv = group_aggregates(out, "src", "v")
-    ga_dst = group_aggregates(out, "src", "v", max_driver_groups=0)
-    pd.testing.assert_frame_equal(ga_drv, ga_dst)
+    def iter_batches(self, *a, **k):
+        for b in real_iter(self, *a, **k):
+            partials.append(len(b))
+            yield b
 
-    tk_drv = grouped_topk_where(out, "src", "v", k=3, tie_cols=["doc_id"])
-    tk_dst = grouped_topk_where(out, "src", "v", k=3, tie_cols=["doc_id"],
-                                max_driver_groups=0)
-    assert tk_drv.schema == tk_dst.schema
-    assert tk_drv.equals(tk_dst)
+    monkeypatch.setattr(rd.Dataset, "iter_batches", iter_batches)
 
-    # ascending + explicit column projection through the distributed path
-    tk2_drv = grouped_topk_where(out, "src", "v", k=2, descending=False,
-                                 tie_cols=["doc_id"], columns=["doc_id"])
-    tk2_dst = grouped_topk_where(out, "src", "v", k=2, descending=False,
-                                 tie_cols=["doc_id"], columns=["doc_id"],
-                                 max_driver_groups=0)
-    assert tk2_drv.equals(tk2_dst)
+    def merged(res):
+        assert sum(1 for p in partials if p) > 2, partials
+        partials.clear()
+        return res
+
+    by = live.groupby("src").v
+    want = pd.DataFrame({"src": by.size().index.astype(object),
+                         "n_rows": by.size().to_numpy(),
+                         "sum_v": by.sum().to_numpy(),
+                         "min_v": by.min().to_numpy(),
+                         "max_v": by.max().to_numpy()})
+    pd.testing.assert_frame_equal(merged(group_counts(out, "src", "v")),
+                                  want[["src", "n_rows", "sum_v"]])
+    pd.testing.assert_frame_equal(merged(group_aggregates(out, "src", "v")),
+                                  want)
+
+    tk = merged(grouped_topk_where(out, "src", "v", k=3,
+                                   tie_cols=["doc_id"])).to_pandas()
+    exp = live.sort_values(["src", "v", "doc_id"],
+                           ascending=[True, False, True]) \
+        .groupby("src").head(3)
+    pd.testing.assert_frame_equal(
+        tk, exp[["src", "v", "doc_id"]].reset_index(drop=True))
+
+    # ascending + explicit column projection
+    tk2 = merged(grouped_topk_where(
+        out, "src", "v", k=2, descending=False, tie_cols=["doc_id"],
+        columns=["doc_id"])).to_pandas()
+    exp2 = live.sort_values(["src", "v", "doc_id"]).groupby("src").head(2)
+    pd.testing.assert_frame_equal(
+        tk2, exp2[["src", "v", "doc_id"]].reset_index(drop=True))
 
 
 def test_predicate_or_not_composition(tmp_path, ray_session):

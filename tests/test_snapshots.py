@@ -219,6 +219,30 @@ def test_restore_snapshot_of_fully_deleted_corpus(ray_session, tmp_path):
     assert _ids(decode_snapshot(out, "empty")) == []
 
 
+def test_restore_snapshot_of_emptied_corpus(ray_session, tmp_path):
+    """A snapshot taken after every row was deleted AND vacuumed pins
+    only groups without data files.  Restoring it after an append must
+    still roll the live corpus back to zero rows: one empty restore
+    group commits and shadows the rest."""
+    from colonnade_ray.pipelines import restore_snapshot
+
+    inp, out, orig = _setup(tmp_path, n_rows=200)
+    delete_where(out, ("n_tok", ">=", 0))
+    vacuum_deletes(out)
+    create_snapshot(out, "empty")
+    inp2 = str(tmp_path / "inp2")
+    synth_corpus(inp2, 100, seed=29, rows_per_file=100)
+    encode_corpus([os.path.join(inp2, f) for f in sorted(os.listdir(inp2))
+                   if f.endswith(".parquet")],
+                  out, batch_size=64, append=True)
+    assert decode_corpus(out).count() == 100
+    assert restore_snapshot(out, "empty")["restored_cohorts"] == 1
+    assert _ids(decode_corpus(out)) == []
+    assert count_where(out, ("n_tok", ">=", 0)) == 0
+    assert _ids(decode_snapshot(out, "empty")) == []
+    assert restore_snapshot(out, "empty")["restored_cohorts"] == 0
+
+
 def test_restore_snapshot_again_after_pinned_rewrite(ray_session, tmp_path):
     """Restoring a snapshot a second time, after a rewrite superseded
     the first restore's group and a later snapshot pinned both groups:
