@@ -1,19 +1,31 @@
-"""Hash-bucket group processing: the scalable alternative to
-``groupby(keys).map_groups`` / per-key aggregates when key cardinality
-is high.
+"""One bucketed exchange: the only hash-bucket shuffle in ``functions/``.
 
 Ray Data's sort-based groupby invokes Python once PER GROUP; at
 millions of small groups (candidate pairs, fingerprints, band
 buckets, label-propagation nodes) that overhead dominates wall time
 (measured ~60 s for 2M rows / 250k groups on 8 cpus vs ~2 s for the
-same rows in 64 bucket groups).  The fix is one level of indirection:
-shuffle on ``hash(key) % num_buckets`` — which still co-locates every
-key — then run ONE vectorized pandas operation per bucket (merge /
-groupby-agg / drop_duplicates).
+same rows in 64 bucket groups).  The fix is one level of indirection,
+and every keyed exchange of the functions layer goes through it,
+``bucketed_group_apply(ds, key_cols, fn)``:
 
-This is also how the engine stays honest at 100 TB: the shuffle volume
-is identical to a keyed groupby, but the number of Python invocations
-is O(num_buckets), not O(distinct keys).
+- **Key co-location.**  Rows shuffle on ``hash(key_cols) % BUCKETS``,
+  so every row of one key lands in one bucket and a bucket-local
+  answer (merge, dedup, count, min, sort) is the global one.  A
+  caller that needs finer routing puts it in the key: ``range_join``
+  buckets on ``[key, time bin]``.
+- **One constant bucket count.**  ``BUCKETS`` is the only setting;
+  no caller picks its own.  Sizing it to the input is a change here.
+- **Arrow bucket map.**  The bucket column is computed in one
+  ``batch_format="pyarrow"`` map: only the key columns go to pandas,
+  for ``pd.util.hash_pandas_object(keys, index=False) % BUCKETS``, and
+  the map returns the input Arrow table plus ``__b``.  The exchanged
+  rows never round-trip through pandas before the shuffle.  The map
+  drops the table's schema metadata: pandas metadata is a dict, and
+  Ray's schema dedup cannot hash a schema that carries one.
+- **Pandas per-bucket kernels.**  ``fn`` gets one whole bucket as a
+  pandas DataFrame (``__b`` dropped) and does the per-key work
+  vectorized, so Python runs O(BUCKETS) times, not O(distinct keys),
+  while the shuffle volume stays that of a keyed groupby.
 """
 
 from __future__ import annotations
@@ -22,31 +34,33 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
-DEFAULT_BUCKETS = 64
+BUCKETS = 64
 
 
-def add_bucket_column(df: pd.DataFrame, key_cols: Union[str, Sequence[str]],
-                      num_buckets: int = DEFAULT_BUCKETS,
-                      col: str = "__b") -> pd.DataFrame:
+def add_bucket_column(batch: pa.Table,
+                      key_cols: Union[str, Sequence[str]]) -> pa.Table:
+    """``batch`` plus an int64 ``__b`` = hash of its key columns mod
+    ``BUCKETS``, without the schema metadata."""
     keys = [key_cols] if isinstance(key_cols, str) else list(key_cols)
-    if len(df) == 0:
-        return df.assign(**{col: pd.Series([], dtype=np.int64)})
-    h = pd.util.hash_pandas_object(df[keys], index=False)
-    return df.assign(**{col: (h.to_numpy() % np.uint64(num_buckets)).astype(np.int64)})
+    batch = batch.replace_schema_metadata(None)
+    if batch.num_rows == 0:
+        return batch.append_column("__b", pa.array([], pa.int64()))
+    h = pd.util.hash_pandas_object(batch.select(keys).to_pandas(), index=False)
+    return batch.append_column(
+        "__b", pa.array((h.to_numpy() % np.uint64(BUCKETS)).astype(np.int64)))
 
 
 def bucketed_group_apply(ds, key_cols: Union[str, Sequence[str]],
-                         fn: Callable[[pd.DataFrame], pd.DataFrame],
-                         num_buckets: int = DEFAULT_BUCKETS):
-    """groupby-equivalent with O(num_buckets) Python invocations.
+                         fn: Callable[[pd.DataFrame], pd.DataFrame]):
+    """groupby-equivalent with O(BUCKETS) Python invocations.
 
     ``fn`` receives one BUCKET (all rows of every key hashing to it,
     ``__b`` column already dropped) and must itself handle the
     per-key logic vectorized (pandas merge / groupby / sort)."""
     bucketed = ds.map_batches(
-        lambda df: add_bucket_column(df, key_cols, num_buckets),
-        batch_format="pandas",
+        lambda b: add_bucket_column(b, key_cols), batch_format="pyarrow",
     )
     return bucketed.groupby("__b").map_groups(
         lambda g: fn(g.drop(columns="__b")), batch_format="pandas"

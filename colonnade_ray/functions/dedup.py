@@ -18,6 +18,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .bucketing import bucketed_group_apply
 from .text import fingerprint_batch
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -67,8 +68,6 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     hash -> groupby(fingerprint).aggregate(Min(id)) : the shuffle moves
     one fingerprint row per doc, never the text payloads.
     """
-    from .bucketing import bucketed_group_apply
-
     fp = ds.map_batches(
         lambda b: fingerprint_batch(b, text_col).select([id_col, "fingerprint"]),
         batch_format="pyarrow",
@@ -384,15 +383,7 @@ def _pairs_from_bucket(g: pd.DataFrame, id_col: str,
     return out[["id_a", "id_b"]].drop_duplicates()
 
 
-_PAIR_BUCKETS = 64
-
-
-def _with_pair_bucket(df: pd.DataFrame, num_buckets: int) -> pd.DataFrame:
-    h = pd.util.hash_pandas_object(df[["id_a", "id_b"]], index=False)
-    return df.assign(__b=(h.to_numpy() % np.uint64(num_buckets)).astype(np.int64))
-
-
-def distinct_pairs(pairs_ds, num_buckets: int = _PAIR_BUCKETS):
+def distinct_pairs(pairs_ds):
     """Distinct (id_a, id_b) rows: per-batch drop_duplicates, then one
     shuffle on a HASH BUCKET of the pair key and a vectorized
     drop_duplicates per bucket.  Replaces both the round-1
@@ -401,31 +392,22 @@ def distinct_pairs(pairs_ds, num_buckets: int = _PAIR_BUCKETS):
     per-group overhead, which at millions of 1-row pair groups
     dominates wall time (measured ~60 s for 2M rows / 250k groups on
     8 cpus vs ~2 s for 64 bucket groups)."""
-    local = pairs_ds.map_batches(
-        lambda df: _with_pair_bucket(df.drop_duplicates(["id_a", "id_b"]), num_buckets)
-        if len(df) else df.assign(__b=pd.Series([], dtype=np.int64)),
-        batch_format="pandas",
-    )
-    return local.groupby("__b").map_groups(
-        lambda g: g.drop_duplicates(["id_a", "id_b"]).drop(columns="__b"),
-        batch_format="pandas",
-    )
+    def distinct(df: pd.DataFrame) -> pd.DataFrame:
+        return df.drop_duplicates(["id_a", "id_b"])
+
+    local = pairs_ds.map_batches(distinct, batch_format="pandas")
+    return bucketed_group_apply(local, ["id_a", "id_b"], distinct)
 
 
-def pair_counts(pairs_ds, out_col: str = "inter", num_buckets: int = _PAIR_BUCKETS):
+def pair_counts(pairs_ds, out_col: str = "inter"):
     """(id_a, id_b, count) over duplicate pair rows — bucketed like
     distinct_pairs, pandas groupby-size inside each bucket."""
-    local = pairs_ds.map_batches(
-        lambda df: _with_pair_bucket(df, num_buckets) if len(df)
-        else df.assign(__b=pd.Series([], dtype=np.int64)),
-        batch_format="pandas",
-    )
 
     def count_group(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby(["id_a", "id_b"], as_index=False).size()
         return out.rename(columns={"size": out_col})
 
-    return local.groupby("__b").map_groups(count_group, batch_format="pandas")
+    return bucketed_group_apply(pairs_ds, ["id_a", "id_b"], count_group)
 
 
 def minhash_candidates(ds, text_col="text", id_col="doc_id", bands=16, rows_per_band=4,
@@ -444,8 +426,6 @@ def minhash_candidates(ds, text_col="text", id_col="doc_id", bands=16, rows_per_
     from ..util import default_concurrency
 
     conc = concurrency or (1, default_concurrency())
-    from .bucketing import bucketed_group_apply
-
     exploded = ds.map_batches(
         MinHashBands,
         fn_constructor_kwargs=dict(
@@ -684,8 +664,6 @@ def winnow_overlap_pairs(ds, min_shared: int = 2, text_col="text",
     Shape: fingerprint explode -> bucketed self-merge -> bucketed pair
     counts (the jaccard_pairs_exact exchange; only fingerprint rows
     ever shuffle, ~2/(w+1) of gram volume)."""
-    from .bucketing import bucketed_group_apply
-
     fps = winnow_fingerprints(ds, text_col, id_col, k=k, w=w, hash_fn=hash_fn)
 
     def explode(b: pa.Table) -> pa.Table:
@@ -697,13 +675,6 @@ def winnow_overlap_pairs(ds, min_shared: int = 2, text_col="text",
         return pa.table({"fp": arr.flatten(), id_col: ids})
 
     exploded = fps.map_batches(explode, batch_format="pyarrow")
-    bucketed = exploded.map_batches(
-        lambda df: df.assign(
-            __b=(df["fp"].to_numpy().view(np.uint64) % np.uint64(_PAIR_BUCKETS)
-                 ).astype(np.int64)
-        ) if len(df) else df.assign(__b=pd.Series([], dtype=np.int64)),
-        batch_format="pandas",
-    )
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         m = g.merge(g, on="fp")
@@ -712,8 +683,7 @@ def winnow_overlap_pairs(ds, min_shared: int = 2, text_col="text",
             ["id_a", "id_b"]
         ]
 
-    pair_rows = bucketed.groupby("__b").map_groups(pairs_in_bucket,
-                                                   batch_format="pandas")
+    pair_rows = bucketed_group_apply(exploded, "fp", pairs_in_bucket)
     shared = pair_counts(pair_rows, out_col="n_shared")
     return shared.map_batches(
         lambda df: df[df["n_shared"] >= min_shared],
@@ -819,17 +789,16 @@ def dup_groups(pairs_ds, driver_threshold: int = 200_000, max_iters: int = 50):
             # union by min id so group_id is deterministic
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
             parent[hi] = lo
-    rows = [{"doc_id": k, "group_id": find(k)} for k in sorted(parent)]
-    if not rows:
-        return rd.from_arrow(
-            pa.table({"doc_id": pa.array([], pa.int64()),
-                      "group_id": pa.array([], pa.int64())})
-        )
-    return rd.from_items(rows)
+    # one Arrow block: one block per row would leave dedup_keep's
+    # filter empty, schema-less blocks for its exchange
+    ids = sorted(parent)
+    doc = pa.array(ids) if ids else pa.array([], pa.int64())
+    grp = pa.array([find(k) for k in ids], doc.type)
+    return rd.from_arrow(pa.table({"doc_id": doc, "group_id": grp}))
 
 
 def dup_gram_stats(ds, text_col: str = "text", id_col: str = "doc_id",
-                   k: int = 5, hash_fn: str = "pandas", num_buckets: int = 64):
+                   k: int = 5, hash_fn: str = "pandas"):
     """Per-doc duplicated-k-gram statistics — the counting core of
     span-level dedup (Lee et al. 2022, "Deduplicating Training Data
     Makes Language Models Better", public literature): for every doc,
@@ -843,8 +812,6 @@ def dup_gram_stats(ds, text_col: str = "text", id_col: str = "doc_id",
     tiny per-doc partial-sum groupby.  ``hash_fn="md5"`` selects the
     SQL-twin gram hash (see _flat_shingles)."""
     from ray.data.aggregate import Sum
-
-    from .bucketing import bucketed_group_apply
 
     def explode(batch: pa.Table) -> pa.Table:
         texts = batch[text_col].to_pandas()
@@ -867,8 +834,7 @@ def dup_gram_stats(ds, text_col: str = "text", id_col: str = "doc_id",
         )
         return agg
 
-    parts = bucketed_group_apply(rows, "gh", per_bucket,
-                                 num_buckets=num_buckets)
+    parts = bucketed_group_apply(rows, "gh", per_bucket)
     return parts.groupby(id_col).aggregate(
         Sum("n_dup_grams", alias_name="n_dup_grams"),
         Sum("n_grams", alias_name="n_grams"),
@@ -909,7 +875,6 @@ def _dup_groups_distributed(pairs_ds, max_iters: int = 50):
     stable.  Converges in <= component-diameter rounds; near-dup
     components are shallow (clusters of rewrites), so a handful of
     rounds suffices in practice.  Nothing ever lands on the driver."""
-    from .bucketing import bucketed_group_apply
     from .relational import field_type, keyed_attach
 
     def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
@@ -1045,19 +1010,11 @@ def jaccard_pairs_exact(ds, threshold=0.8, text_col="text", id_col="doc_id",
     kw = dict(text_col=text_col, id_col=id_col, shingle_k=shingle_k)
     exploded = ds.map_batches(DistinctShingleExplode, fn_constructor_kwargs=kw,
                               batch_format="pyarrow", concurrency=conc)
-    # bucket shingles so the shuffle has O(num_buckets) groups and the
-    # per-bucket pair emission is one vectorized self-merge — not one
-    # Python call per distinct shingle (Ray's per-group overhead at
-    # ~1 group per shingle dominates otherwise).  A shingle shared by
-    # s docs emits s(s-1)/2 rows; at corpus scale cap stop-grams
-    # upstream (drop shingles above a doc-frequency bound) before this.
-    bucketed = exploded.map_batches(
-        lambda df: df.assign(
-            __b=(df["shingle"].to_numpy().view(np.uint64) % np.uint64(_PAIR_BUCKETS)
-                 ).astype(np.int64)
-        ) if len(df) else df.assign(__b=pd.Series([], dtype=np.int64)),
-        batch_format="pandas",
-    )
+    # bucket shingles so the per-bucket pair emission is one vectorized
+    # self-merge — not one Python call per distinct shingle (Ray's
+    # per-group overhead at ~1 group per shingle dominates otherwise).
+    # A shingle shared by s docs emits s(s-1)/2 rows; at corpus scale
+    # cap stop-grams (``max_doc_freq``) before this.
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if max_doc_freq is not None and len(g):
@@ -1069,8 +1026,7 @@ def jaccard_pairs_exact(ds, threshold=0.8, text_col="text", id_col="doc_id",
             ["id_a", "id_b"]
         ]
 
-    pair_rows = bucketed.groupby("__b").map_groups(pairs_in_bucket,
-                                                   batch_format="pandas")
+    pair_rows = bucketed_group_apply(exploded, "shingle", pairs_in_bucket)
     inter = pair_counts(pair_rows, out_col="inter")
     sizes = ds.map_batches(ShingleSetSizes, fn_constructor_kwargs=kw,
                            batch_format="pyarrow", concurrency=conc)
@@ -1115,8 +1071,6 @@ def simhash_candidates(ds, text_col="text", id_col="doc_id", max_hamming: int = 
     cluster emits s(s-1)/2 pairs per band without it; with it, s-1
     star rows keep the cluster connected for group resolution.
     """
-    from .bucketing import bucketed_group_apply
-
     nbands = max_hamming + 1
     widths = [64 // nbands + (1 if i < 64 % nbands else 0) for i in range(nbands)]
     offsets = np.concatenate(([0], np.cumsum(widths)))[:-1]
@@ -1200,7 +1154,7 @@ def simhash_candidates(ds, text_col="text", id_col="doc_id", max_hamming: int = 
 
 
 def dedup_spans(ds, text_col: str = "text", id_col: str = "doc_id",
-                k: int = 5, hash_fn: str = "pandas", num_buckets: int = 64):
+                k: int = 5, hash_fn: str = "pandas"):
     """Span-level dedup REWRITE (the removal step of Lee et al. 2022 —
     dup_gram_stats is the counting core, this produces the cleaned
     corpus): every word position covered by a k-gram whose canonical
@@ -1223,7 +1177,6 @@ def dedup_spans(ds, text_col: str = "text", id_col: str = "doc_id",
     word surgery inside map_batches — payload-level work on the doc's
     own words, like the render/multimodal stages.  ``hash_fn="md5"``
     selects the SQL-twin gram hash."""
-    from .bucketing import bucketed_group_apply
     from .relational import field_type, keyed_attach
 
     id_type = field_type(ds, id_col)
@@ -1245,7 +1198,7 @@ def dedup_spans(ds, text_col: str = "text", id_col: str = "doc_id",
         red = s[s.duplicated("gh", keep="first")]
         return red[[id_col, "gpos"]].reset_index(drop=True)
 
-    red = bucketed_group_apply(rows, "gh", redundant, num_buckets=num_buckets)
+    red = bucketed_group_apply(rows, "gh", redundant)
 
     def collect(gdf: pd.DataFrame) -> pd.DataFrame:
         s = gdf.sort_values([id_col, "gpos"], kind="mergesort")

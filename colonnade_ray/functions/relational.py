@@ -20,6 +20,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .bucketing import bucketed_group_apply
+
 
 class BroadcastJoin:
     """map_batches callable: probe a broadcast dimension table.
@@ -142,6 +144,16 @@ def _empty_typed_df(schema: Sequence[tuple]) -> pd.DataFrame:
     return pd.DataFrame({c: pd.Series([], dtype=dt(t)) for c, t in schema})
 
 
+def _unread_fill(n: int, t: pa.DataType) -> pa.Array:
+    """A tag-union column for the side that never reads it.  Integers
+    are zero-filled, not null-filled: nulls would turn the whole column
+    float64 inside the pandas bucket, and int64 values above 2**53
+    would come back rounded."""
+    if pa.types.is_integer(t):
+        return pa.array(np.zeros(n, np.int64), type=t)
+    return pa.nulls(n, t)
+
+
 def field_type(ds, name: str):
     """Arrow type of a Dataset column, tolerant of pandas-backed
     schemas (PandasBlockSchema has numpy dtypes, not pa fields)."""
@@ -172,8 +184,7 @@ def keyed_attach(pairs_ds, docs_ds, key_from: str, out_col: str,
     partitions (ray 2.49's join aggregator builds ``pa.table({})`` for
     those and Arrow rejects the keyed join — e.g. a tiny candidate-pair
     set against a large corpus).  ``carry`` lists (name, arrow_type) of
-    pair columns to carry through; integer carries are restored to
-    int64 after the pandas group pass.
+    pair columns to carry through.
 
     ``dedup_on``: column names (must include ``key_from``, renamed
     ``__key`` internally) on which the pairs side is globally
@@ -198,14 +209,14 @@ def keyed_attach(pairs_ds, docs_ds, key_from: str, out_col: str,
         cols = {"__key": pc.cast(b[key_from], key_type)}
         for c, t in carry:
             cols[c] = pc.cast(b[c], t) if c in b.column_names else pa.nulls(len(b), t)
-        cols["__val"] = pa.nulls(len(b), val_type)
+        cols["__val"] = _unread_fill(len(b), val_type)
         cols["__is_doc"] = pa.array(np.zeros(len(b), dtype=bool))
         return pa.table(cols)
 
     def tag_docs(b: pa.Table) -> pa.Table:
         cols = {"__key": pc.cast(b[id_col], key_type)}
         for c, t in carry:
-            cols[c] = pa.nulls(len(b), t)
+            cols[c] = _unread_fill(len(b), t)
         cols["__val"] = b[text_col]
         cols["__is_doc"] = pa.array(np.ones(len(b), dtype=bool))
         return pa.table(cols)
@@ -213,9 +224,7 @@ def keyed_attach(pairs_ds, docs_ds, key_from: str, out_col: str,
     tagged = pairs_ds.map_batches(tag_pairs, batch_format="pyarrow").union(
         docs_ds.map_batches(tag_docs, batch_format="pyarrow")
     )
-    int_cols = [c for c, t in carry if pa.types.is_integer(t)]
-    if pa.types.is_integer(val_type):
-        int_cols = int_cols + [out_col]
+    int_val = pa.types.is_integer(val_type)
 
     dedup_cols = None
     if dedup_on is not None:
@@ -228,6 +237,9 @@ def keyed_attach(pairs_ds, docs_ds, key_from: str, out_col: str,
         # one vectorized pandas merge per BUCKET of keys (bucketing.py
         # rationale: O(buckets) Python calls, not O(distinct keys))
         docs = g[g["__is_doc"]][["__key", "__val"]].drop_duplicates("__key")
+        if int_val:
+            # nullable, so an unmatched key cannot turn the column float
+            docs = docs.astype({"__val": "Int64"})
         p = g[~g["__is_doc"]]
         if dedup_cols is not None:
             p = p.drop_duplicates(dedup_cols)
@@ -237,17 +249,13 @@ def keyed_attach(pairs_ds, docs_ds, key_from: str, out_col: str,
         merged = p[["__key"] + carry_names].merge(docs, on="__key", how="left")
         merged = merged.rename(columns={"__val": out_col})[out_cols]
         if fill is not None:
-            # LEFT-JOIN-with-default semantics: unmatched keys get
-            # ``fill`` instead of poisoning the int restore below
+            # LEFT-JOIN-with-default semantics: unmatched keys get ``fill``
             merged[out_col] = merged[out_col].fillna(fill)
-        for c in int_cols:
-            if c in merged.columns:
-                merged[c] = merged[c].astype("int64")
+        if int_val and not merged[out_col].hasnans:
+            merged[out_col] = merged[out_col].astype("int64")
         if pa.types.is_string(val_type) or pa.types.is_large_string(val_type):
             merged[out_col] = merged[out_col].fillna("")
         return merged
-
-    from .bucketing import bucketed_group_apply
 
     return bucketed_group_apply(tagged, "__key", per_bucket)
 
@@ -300,14 +308,13 @@ def _keyed_membership(left_ds, right_ds, on: str, carry: Sequence[tuple],
     def tag_drop(b: pa.Table) -> pa.Table:
         cols = {"__key": pc.cast(b[on], key_type)}
         for c, t in carry:
-            cols[c] = pa.nulls(len(b), t)
+            cols[c] = _unread_fill(len(b), t)
         cols["__is_left"] = pa.array(np.zeros(len(b), dtype=bool))
         return pa.table(cols)
 
     tagged = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
         right_ds.map_batches(tag_drop, batch_format="pyarrow")
     )
-    int_cols = [c for c, t in carry if pa.types.is_integer(t)]
     out_cols = [on] + [c for c in carry_names if c != on]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -317,18 +324,13 @@ def _keyed_membership(left_ds, right_ds, on: str, carry: Sequence[tuple],
         present = g.loc[~g["__is_left"], "__key"]
         member = g["__key"].isin(present)
         keep = g[g["__is_left"] & (member if keep_if_present else ~member)]
-        out = keep.rename(columns={"__key": on})[out_cols]
-        for c in int_cols:
-            out[c] = out[c].astype("int64")
-        return out
-
-    from .bucketing import bucketed_group_apply
+        return keep.rename(columns={"__key": on})[out_cols]
 
     return bucketed_group_apply(tagged, "__key", per_bucket)
 
 
 def sessionize(events_ds, key_col: str = "user_id", ts_col: str = "ts",
-               gap_minutes: int = 30, num_buckets: int = 64):
+               gap_minutes: int = 30):
     """Session windows: per key, a new session starts when the gap to
     the previous event exceeds ``gap_minutes``.
 
@@ -345,12 +347,6 @@ def sessionize(events_ds, key_col: str = "user_id", ts_col: str = "ts",
 
     gap = pd.Timedelta(minutes=gap_minutes)
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[key_col], index=False)
-        return df.assign(
-            __b=(h.to_numpy() % np.uint64(num_buckets)).astype(np.int64)
-        )
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key_col, ts_col], kind="mergesort")
         new_key = g[key_col].ne(g[key_col].shift())
@@ -363,13 +359,11 @@ def sessionize(events_ds, key_col: str = "user_id", ts_col: str = "ts",
         ).agg(n_events=(ts_col, "size"), session_start=(ts_col, "min"))
         return out[[key_col, "session_id", "n_events", "session_start"]]
 
-    return events_ds.map_batches(add_bucket, batch_format="pandas").groupby(
-        "__b"
-    ).map_groups(per_bucket, batch_format="pandas")
+    return bucketed_group_apply(events_ds, key_col, per_bucket)
 
 
 def asof_join(left, right, on: str, ts_col: str = "ts",
-              right_suffix: str = "_right", num_buckets: int = 64):
+              right_suffix: str = "_right"):
     """As-of join: for each left row, the latest right row with the
     same key and ts <= left ts (inclusive) — the brief's custom-
     operator example, composed from Dataset primitives: tag-union both
@@ -384,16 +378,12 @@ def asof_join(left, right, on: str, ts_col: str = "ts",
     call per key.  Returns all left columns plus right columns
     suffixed.
     """
-    import pyarrow as pa
-
     lschema = left.schema().base_schema
     rschema = right.schema().base_schema
     lcols = [f.name for f in lschema if f.name not in (on, ts_col)]
     rcols = [f.name for f in rschema if f.name not in (on, ts_col)]
     ltypes = {f.name: f.type for f in lschema}
     rtypes = {f.name: f.type for f in rschema}
-
-    import numpy as np
 
     def tag(side: str, other_cols, other_types):
         def fn(b: pa.Table) -> pa.Table:
@@ -402,10 +392,7 @@ def asof_join(left, right, on: str, ts_col: str = "ts",
                 # so pandas keeps nullable Int64 instead of degrading
                 # int64+NaN to float64 (round-1 asof_clicks hash fix)
                 t = t.append_column(c, pa.nulls(len(b), type=other_types[c]))
-            hb = pd.util.hash_pandas_object(
-                b[on].to_pandas(), index=False
-            ).to_numpy() % np.uint64(num_buckets)
-            return t.append_column("__b", pa.array(hb.astype(np.int64)))
+            return t
 
         return fn
 
@@ -462,12 +449,12 @@ def asof_join(left, right, on: str, ts_col: str = "ts",
         )
         return _fix_dtypes(merged[cols_out])
 
-    return tagged.groupby("__b").map_groups(per_bucket, batch_format="pandas")
+    return bucketed_group_apply(tagged, on, per_bucket)
 
 
 def range_join(left, right, on: str, ts_col: str = "ts",
                lo_col: str = "lo", hi_col: str = "hi",
-               right_suffix: str = "_right", num_buckets: int = 64,
+               right_suffix: str = "_right",
                time_bin_s: Optional[float] = None):
     """Keyed range (interval-overlap) join: every (left, right) pair
     with equal key and ``lo <= left.ts < hi`` — the brief's remaining
@@ -478,12 +465,13 @@ def range_join(left, right, on: str, ts_col: str = "ts",
     windows yields k output rows (inner-join semantics).
 
     Composition (Dataset primitives only): tag-union both sides, one
-    shuffle on ``hash(key) % num_buckets`` (optionally × a coarse time
-    bin), one vectorized pandas merge + interval mask per bucket.
+    bucketed exchange on ``[key, time bin]`` (the bin is 0 without
+    ``time_bin_s``), one vectorized pandas merge on ``[key, bin]`` +
+    interval mask per bucket.
 
     Partitioning assumptions (documented per SURVEY.md §2 contract):
 
-    - all rows of one key co-locate in one bucket (hash on key);
+    - all rows of one (key, bin) co-locate in one bucket (hash on both);
     - the per-bucket work is the per-key events × windows product.  A
       hot key with many events AND many windows is defused by
       ``time_bin_s``: left rows route to exactly one ``(key, bin)``
@@ -528,21 +516,8 @@ def range_join(left, right, on: str, ts_col: str = "ts",
         def fn(b: pa.Table) -> pa.Table:
             t = b.append_column("__side", pa.array([side] * len(b)))
             for c in other_cols:
-                ot = other_types[c]
-                if pa.types.is_integer(ot):
-                    # zero-fill rather than null-fill: these cells are
-                    # never read (per_bucket filters by __side before
-                    # touching them), and typed NULLS would coerce the
-                    # whole column to float64 inside the pandas group,
-                    # losing exactness above 2^53 for int64 ts/lo/hi.
-                    t = t.append_column(
-                        c, pa.array(np.zeros(len(b), np.int64), type=ot))
-                else:
-                    t = t.append_column(c, pa.nulls(len(b), type=ot))
-            hb = pd.util.hash_pandas_object(
-                b[on].to_pandas(), index=False
-            ).to_numpy() % np.uint64(num_buckets)
-            t = t.append_column("__b", pa.array(hb.astype(np.int64)))
+                # per_bucket filters by __side before touching these
+                t = t.append_column(c, _unread_fill(len(b), other_types[c]))
             if bin_ns is None:
                 return t.append_column("__tb", pa.array(np.zeros(len(b), np.int64)))
             if side == "L":
@@ -579,14 +554,16 @@ def range_join(left, right, on: str, ts_col: str = "ts",
     out_int.update({ren[c]: _NP_INT[rtypes[c]] for c in rcols if rtypes[c] in _NP_INT})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "L"][[on] + lcols]
-        rg = g[g["__side"] == "R"][[on] + rcols].rename(columns=ren)
+        # a bucket holds several (key, bin) pairs: merging on both keeps
+        # each event to the one window copy in its own bin
+        lg = g[g["__side"] == "L"][[on, "__tb"] + lcols]
+        rg = g[g["__side"] == "R"][[on, "__tb"] + rcols].rename(columns=ren)
         if lg.empty or rg.empty:
             out = _empty_typed_df(
                 [(on, ltypes[on])] + [(c, ltypes[c]) for c in lcols]
                 + [(ren[c], rtypes[c]) for c in rcols])
         else:
-            m = lg.merge(rg, on=on)
+            m = lg.merge(rg, on=[on, "__tb"])
             keep = (m[ren[lo_col]] <= m[ts_col]) & (m[ts_col] < m[ren[hi_col]])
             out = m.loc[keep, out_cols]
         for c, dt in out_int.items():
@@ -594,9 +571,7 @@ def range_join(left, right, on: str, ts_col: str = "ts",
                 out[c] = out[c].astype(dt)
         return out
 
-    return tagged.groupby(["__b", "__tb"]).map_groups(
-        per_bucket, batch_format="pandas"
-    )
+    return bucketed_group_apply(tagged, [on, "__tb"], per_bucket)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +619,7 @@ def hopping_windows(ds, ts_col: str = "ts", key_cols: Sequence[str] = ("event_ty
 
 
 def grouped_topk(ds, group_cols: Sequence[str], order_col: str, k: int = 3,
-                 descending: bool = True, tie_cols: Sequence[str] = (),
-                 num_buckets: int = 64):
+                 descending: bool = True, tie_cols: Sequence[str] = ()):
     """Top-k rows per group (e.g. each customer's k priciest orders).
 
     Two-level: a per-batch partial top-k first shrinks every batch to
@@ -653,7 +627,7 @@ def grouped_topk(ds, group_cols: Sequence[str], order_col: str, k: int = 3,
     the ONE bucket shuffle moves at most k rows per (key, batch) — at
     100 TB the exchange is bounded by k * distinct_keys, not corpus
     rows.  Bucketed final pass keeps Python invocations at
-    O(num_buckets) regardless of key cardinality (see bucketing.py).
+    O(buckets) regardless of key cardinality (see bucketing.py).
 
     Deterministic: ties broken by ``tie_cols`` ascending."""
     groups = list(group_cols)
@@ -666,10 +640,8 @@ def grouped_topk(ds, group_cols: Sequence[str], order_col: str, k: int = 3,
                             ascending=[not descending] + [True] * len(ties))
         return df.groupby(groups, sort=False).head(k)
 
-    from .bucketing import bucketed_group_apply
-
     partial = ds.map_batches(topk, batch_format="pandas")
-    return bucketed_group_apply(partial, groups, topk, num_buckets=num_buckets)
+    return bucketed_group_apply(partial, groups, topk)
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +698,7 @@ def interval_join(ds, intervals: "pa.Table", value_col: str,
 
 
 def grouped_quantiles(ds, group_cols: Sequence[str], value_col: str,
-                      qs: Sequence[float] = (0.25, 0.5, 0.75),
-                      num_buckets: int = 64):
+                      qs: Sequence[float] = (0.25, 0.5, 0.75)):
     """EXACT per-group quantiles with percentile_disc semantics: the
     smallest group value whose 1-based rank >= ceil(q * n) — always an
     EXISTING value, so results are bit-identical to SQL's
@@ -746,12 +717,9 @@ def grouped_quantiles(ds, group_cols: Sequence[str], value_col: str,
     if not all(0.0 < q <= 1.0 for q in qlist):
         raise ValueError("quantiles must be in (0, 1]")
 
-    from .bucketing import bucketed_group_apply
-
     return bucketed_group_apply(
         ds, groups,
         lambda df: quantiles_in_bucket(df, groups, value_col, qlist),
-        num_buckets=num_buckets,
     )
 
 
@@ -790,8 +758,7 @@ def quantiles_in_bucket(df: pd.DataFrame, groups: list, value_col: str,
 
 
 def rolling_sum(ds, key_col: str, order_cols: Sequence[str], value_col: str,
-                window: int, out_col: str = "rolling_sum",
-                num_buckets: int = 64):
+                window: int, out_col: str = "rolling_sum"):
     """Per-key rolling-window sum over the last ``window`` rows in
     ``order_cols`` order (SQL: SUM(v) OVER (PARTITION BY key ORDER BY
     ... ROWS BETWEEN window-1 PRECEDING AND CURRENT ROW)).
@@ -803,12 +770,9 @@ def rolling_sum(ds, key_col: str, order_cols: Sequence[str], value_col: str,
     (sort + groupby cumsum/shift, no per-key Python)."""
     order = list(order_cols)
 
-    from .bucketing import bucketed_group_apply
-
     return bucketed_group_apply(
         ds, [key_col],
         lambda df: rolling_in_bucket(df, key_col, order, value_col, window, out_col),
-        num_buckets=num_buckets,
     )
 
 
@@ -951,8 +915,6 @@ def funnel_counts(ds, stages: Sequence[str],
                              "stage": stages,
                              "n_users": np.asarray(counts, dtype=np.int64)})
 
-    from .bucketing import bucketed_group_apply
-
     parts = bucketed_group_apply(slim, user_col, per_bucket).to_pandas()
     out = parts.groupby(["stage_idx", "stage"], as_index=False)["n_users"] \
                .sum()
@@ -967,8 +929,6 @@ def grouped_mode(ds, group_col: str, value_col: str):
     arg-max (sort + drop_duplicates per bucket, no per-group Python).
     Returns (group, mode value, n)."""
     from ray.data.aggregate import Count
-
-    from .bucketing import bucketed_group_apply
 
     counts = ds.groupby([group_col, value_col]).aggregate(
         Count(alias_name="n"))

@@ -644,7 +644,7 @@ def lm_commonness(ds, text_col: str = "text", id_col: str = "doc_id",
     own rows) and immediately fold it into per-doc partials
     (doc, w=SUM c, nb=rows) — no separate counts aggregate, no
     gram-keyed join back.  A second small bucketed exchange sums the
-    <= num_buckets partials per doc.  (The previous 3-barrier form —
+    <= BUCKETS partials per doc.  (The previous 3-barrier form —
     Ray-native groupby over millions of distinct gram strings, then a
     keyed attach, then a doc groupby — spent its wall time on
     per-group sort overhead: 171 s at the 10x bench scale vs ~20 s

@@ -104,7 +104,8 @@ def test_alp_property_bit_exact_or_rejected(e, n, seed, poison):
 )
 @settings(max_examples=25, deadline=None)
 def test_keyed_antijoin_property(left_ids, drop_ids):
-    """keyed_antijoin == set difference, any overlap shape."""
+    """keyed_antijoin == set difference, any overlap shape; an int64
+    carry above 2**53 comes back exact."""
     import ray.data as rd
 
     from colonnade_ray.functions.relational import keyed_antijoin
@@ -112,13 +113,16 @@ def test_keyed_antijoin_property(left_ids, drop_ids):
     left = rd.from_arrow(pa.table({
         "doc_id": pa.array(sorted(left_ids), pa.int64()),
         "tag": pa.array([f"t{i}" for i in sorted(left_ids)]),
+        "big": pa.array([2**60 + i for i in sorted(left_ids)], pa.int64()),
     }))
     drop = rd.from_arrow(pa.table({"doc_id": pa.array(sorted(drop_ids), pa.int64())}))
     got = keyed_antijoin(left, drop, on="doc_id",
-                         carry=[("tag", pa.string())]).to_pandas()
+                         carry=[("tag", pa.string()),
+                                ("big", pa.int64())]).to_pandas()
     expect = sorted(set(left_ids) - set(drop_ids))
     if not expect:
         # an all-empty result may come back schema-less from Ray
         assert len(got) == 0
     else:
         assert sorted(got["doc_id"].tolist()) == expect
+        assert sorted(got["big"].tolist()) == [2**60 + i for i in expect]

@@ -876,9 +876,11 @@ def test_dup_groups_distributed_matches_union_find(ray_session):
         {"id_a": 5, "id_b": 30}, {"id_a": 30, "id_b": 31}, {"id_a": 31, "id_b": 6},
     ]
     ds = rd.from_items(pairs)
-    via_uf = sorted(
-        (r["doc_id"], r["group_id"]) for r in dup_groups(ds).take_all()
-    )
+    driver = dup_groups(ds)
+    # one block, not one per row: dedup_keep filters these blocks, and
+    # empty ones would reach its exchange without a schema
+    assert driver.num_blocks() == 1
+    via_uf = sorted((r["doc_id"], r["group_id"]) for r in driver.take_all())
     via_dist = sorted(
         (r["doc_id"], r["group_id"])
         for r in dup_groups(ds, driver_threshold=0).take_all()
@@ -2261,24 +2263,29 @@ def test_build_vocab_then_remap_roundtrip(ray_session):
 
 def test_keyed_semijoin_membership(ray_session):
     """Semi-join keeps exactly the left rows whose key exists in the
-    probe side; anti-join is its complement; carrying the key raises."""
+    probe side; anti-join is its complement; int64 carries above 2**53
+    come back exact; carrying the key raises."""
     import pytest as _pytest
     import ray.data as rd
 
     from colonnade_ray.functions.relational import keyed_antijoin, keyed_semijoin
 
-    left = rd.from_arrow(pa.table({
-        "k": pa.array([1, 2, 3, 4], pa.int64()),
-        "v": pa.array(["a", "b", "c", "d"]),
-    })).repartition(2)
-    probe = rd.from_arrow(pa.table({"k": pa.array([2, 4, 9], pa.int64())}))
-    semi = keyed_semijoin(left, probe, on="k",
-                          carry=[("v", pa.string())]).to_pandas()
-    anti = keyed_antijoin(left, probe, on="k",
-                          carry=[("v", pa.string())]).to_pandas()
-    assert sorted(semi["k"]) == [2, 4]
-    assert sorted(anti["k"]) == [1, 3]
-    assert sorted(list(semi["v"]) + list(anti["v"])) == ["a", "b", "c", "d"]
+    for base in (0, 2**60):
+        ks = [base + i for i in (1, 2, 3, 4)]
+        left = rd.from_arrow(pa.table({
+            "k": pa.array(ks, pa.int64()),
+            "v": pa.array(["a", "b", "c", "d"]),
+            "w": pa.array(ks, pa.int64()),
+        })).repartition(2)
+        probe = rd.from_arrow(pa.table({
+            "k": pa.array([base + i for i in (2, 4, 9)], pa.int64())}))
+        carry = [("v", pa.string()), ("w", pa.int64())]
+        semi = keyed_semijoin(left, probe, on="k", carry=carry).to_pandas()
+        anti = keyed_antijoin(left, probe, on="k", carry=carry).to_pandas()
+        assert sorted(semi["k"]) == [base + 2, base + 4]
+        assert sorted(anti["k"]) == [base + 1, base + 3]
+        assert sorted(list(semi["v"]) + list(anti["v"])) == ["a", "b", "c", "d"]
+        assert (semi["w"] == semi["k"]).all() and (anti["w"] == anti["k"]).all()
     with _pytest.raises(ValueError, match="repeat the key"):
         keyed_semijoin(left, probe, on="k", carry=[("k", pa.int64())])
 
@@ -2286,26 +2293,28 @@ def test_keyed_semijoin_membership(ray_session):
 def test_keyed_attach_dedup_on(ray_session):
     """dedup_on drops duplicate pair rows globally inside the join
     bucket (every copy of a key co-locates), and must include the
-    join key."""
+    join key; ids above 2**53 come back exact."""
     import pytest as _pytest
     import ray.data as rd
 
     from colonnade_ray.functions.relational import keyed_attach
 
-    # duplicate (id_a, id_b) rows scattered across partitions
-    pairs = rd.from_arrow(pa.table({
-        "id_a": pa.array([1, 1, 2, 1, 2, 1], pa.int64()),
-        "id_b": pa.array([5, 5, 6, 5, 6, 7], pa.int64()),
-    })).repartition(3)
-    docs = rd.from_arrow(pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "text": pa.array(["ta", "tb"]),
-    }))
     ids = [("id_a", pa.int64()), ("id_b", pa.int64())]
-    out = keyed_attach(pairs, docs, "id_a", "text_a", ids,
-                       dedup_on=["id_a", "id_b"]).to_pandas()
-    got = sorted(zip(out["id_a"], out["id_b"], out["text_a"]))
-    assert got == [(1, 5, "ta"), (1, 7, "ta"), (2, 6, "tb")]
+    for base in (0, 2**60):
+        # duplicate (id_a, id_b) rows scattered across partitions
+        pairs = rd.from_arrow(pa.table({
+            "id_a": pa.array([base + i for i in (1, 1, 2, 1, 2, 1)], pa.int64()),
+            "id_b": pa.array([base + i for i in (5, 5, 6, 5, 6, 7)], pa.int64()),
+        })).repartition(3)
+        docs = rd.from_arrow(pa.table({
+            "doc_id": pa.array([base + 1, base + 2], pa.int64()),
+            "text": pa.array(["ta", "tb"]),
+        }))
+        out = keyed_attach(pairs, docs, "id_a", "text_a", ids,
+                           dedup_on=["id_a", "id_b"]).to_pandas()
+        got = sorted(zip(out["id_a"], out["id_b"], out["text_a"]))
+        assert got == [(base + 1, base + 5, "ta"), (base + 1, base + 7, "ta"),
+                       (base + 2, base + 6, "tb")]
     with _pytest.raises(ValueError, match="dedup_on must include"):
         keyed_attach(pairs, docs, "id_a", "text_a", ids, dedup_on=["id_b"])
 
