@@ -247,17 +247,6 @@ def unpack_uints(buf: bytes, n: int, width: int) -> np.ndarray:
     return vp.reshape(-1)[:n]
 
 
-def zigzag(v: np.ndarray) -> np.ndarray:
-    """Signed int64 -> unsigned zigzag uint64 (vectorized)."""
-    s = v.astype(np.int64, copy=False)
-    return ((s << 1) ^ (s >> 63)).view(np.uint64)
-
-
-def unzigzag(u: np.ndarray) -> np.ndarray:
-    u = u.astype(np.uint64, copy=False)
-    return ((u >> np.uint64(1)).view(np.int64)) ^ -((u & np.uint64(1)).view(np.int64))
-
-
 def varint_encode(vals: np.ndarray) -> bytes:
     """LEB128 varint encode of unsigned ints, fully vectorized."""
     v = vals.astype(np.uint64, copy=False)

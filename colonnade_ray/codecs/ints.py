@@ -28,11 +28,9 @@ from .base import (
     dtype_code,
     pack_uints,
     unpack_uints,
-    unzigzag,
     varint_decode,
     varint_encode,
     varint_size,
-    zigzag,
 )
 
 _META_OVERHEAD = 48  # rough per-chunk metadata cost charged to every codec
@@ -183,7 +181,8 @@ class DeltaBitpackCodec(Codec):
     """Delta + frame-of-reference on the DELTAS + bit-pack — wins on
     sorted / near-sorted streams (list offsets, monotone ids) AND on
     jittered regular intervals (timestamps: deltas in [100, 130] pack
-    at bit_width(30), where the round-2 zigzag paid bit_width(260)).
+    at bit_width(30), where a zigzag of the raw deltas would pay
+    bit_width(260)).
     Residuals are computed mod 2^64, so wrapped uint64/int64 extremes
     stay exact.  Cascade analog of the reference's combinator
     composition (Encode.hs:575-577)."""
@@ -219,12 +218,9 @@ class DeltaBitpackCodec(Codec):
         if n == 0:
             return np.zeros(0, dtype=dt)
         raw = unpack_uints(enc.parts[0], n - 1, m["width"])
-        if "dbase" in m:
-            with np.errstate(over="ignore"):
-                deltas = (raw + np.uint64(m["dbase"] & 0xFFFFFFFFFFFFFFFF)
-                          ).view(np.int64)
-        else:  # round-2 zigzag frames (decode stays backward-compatible)
-            deltas = unzigzag(raw)
+        with np.errstate(over="ignore"):
+            deltas = (raw + np.uint64(m["dbase"] & 0xFFFFFFFFFFFFFFFF)
+                      ).view(np.int64)
         out = np.empty(n, dtype=np.int64)
         out[0] = m["first"]
         if n > 1:

@@ -388,10 +388,9 @@ def asof_join(left, right, on: str, ts_col: str = "ts",
     def tag(side: str, other_cols, other_types):
         def fn(b: pa.Table) -> pa.Table:
             t = b.append_column("__side", pa.array([side] * len(b)))
-            for c in other_cols:  # align schemas for union — TYPED nulls,
-                # so pandas keeps nullable Int64 instead of degrading
-                # int64+NaN to float64 (round-1 asof_clicks hash fix)
-                t = t.append_column(c, pa.nulls(len(b), type=other_types[c]))
+            for c in other_cols:
+                # per_bucket splits by __side before touching these
+                t = t.append_column(c, _unread_fill(len(b), other_types[c]))
             return t
 
         return fn
@@ -425,9 +424,11 @@ def asof_join(left, right, on: str, ts_col: str = "ts",
         lg = g[g["__side"] == "L"].sort_values(ts_col, kind="mergesort")
         rg = g[g["__side"] == "R"].sort_values(ts_col, kind="mergesort")
         lg = lg[[on, ts_col] + lcols]
-        rg = rg[[on, ts_col] + rcols].rename(
+        # nullable ints before the merge: a left row with no match
+        # would turn an int64 right column float64 and round it
+        rg = _fix_dtypes(rg[[on, ts_col] + rcols].rename(
             columns={c: c + right_suffix for c in rcols}
-        )
+        ))
         cols_out = [on, ts_col] + lcols + [ts_col + right_suffix] + [
             c + right_suffix for c in rcols
         ]

@@ -9,10 +9,14 @@
   - ``proven``: every row matches (every chunk, when there is no
     predicate), so an operation may answer from the chunk's stats.
   - ``maybe``: only a decode can tell.
-- ``scan_chunks`` is the one decode loop: it reads just the chunks an
-  operation could not answer from metadata, decodes them, masks
-  deleted rows, applies the predicate exactly and folds each task's
-  tables into one partial (pipelines/pushdown.py merges them).
+- ``scan_chunks`` is the one decode loop of every read: it reads just
+  the chunks an operation could not answer from metadata (or, for an
+  unpredicated corpus read, every chunk in scope, with no per-chunk
+  planning), decodes them, masks deleted rows, applies the predicate
+  exactly and folds each task's tables into one partial.  The
+  pushdowns merge the partials on the driver (pipelines/pushdown.py);
+  ``decode_corpus`` / ``decode_snapshot`` return them as the decoded
+  Dataset, and ``decode_digest_corpus`` sums one digest row per task.
 """
 
 from __future__ import annotations
@@ -131,28 +135,40 @@ def read_chunks(out_dir: str, plan: ChunkPlan, chunks, columns,
 
 
 def scan_chunks(out_dir: str, plan: ChunkPlan, chunks, columns,
-                fold: Callable, concurrency=None):
+                fold: Callable, concurrency=None,
+                verify_checksum: bool = False):
     """Decode ``chunks`` of ``plan`` and fold each task's live,
     predicate-filtered tables (an iterator; only chunks with rows left)
     into one partial ``pa.Table``.  Reads only those chunks' groups and
     row groups, projected to ``columns`` plus the predicate's columns.
-    Returns the lazy Dataset of partials."""
+    ``chunks=None`` reads every chunk of ``plan.groups`` unfiltered;
+    ``columns=None`` decodes whole chunks (and verifies the whole-chunk
+    checksum when ``verify_checksum``).  Returns the lazy Dataset of
+    partials."""
     from ..stages.decode import decode_live, predicate_columns
     from ..util import default_concurrency
     from .deletes import load_delete_masks
 
-    keys = {c.key for c in chunks}
-    cols = list(dict.fromkeys([*columns, *predicate_columns(plan.preds)]))
-    enc, cpt = read_chunks(out_dir, plan, chunks, cols, concurrency)
+    cols = None if columns is None else list(dict.fromkeys(
+        [*columns, *predicate_columns(plan.preds)]))
+    if chunks is None:
+        keys = None
+        enc, cpt = _read_encoded(out_dir, cols, concurrency,
+                                 groups=plan.groups)
+    else:
+        keys = {c.key for c in chunks}
+        enc, cpt = read_chunks(out_dir, plan, chunks, cols, concurrency)
     preds, deletes_dir = plan.preds, plan.deletes_dir
 
     def part(batch: pa.Table) -> pa.Table:
         _register_dict_dir(out_dir)
         masks = load_delete_masks(deletes_dir) if deletes_dir else {}
-        rows = [r for r, k in enumerate(zip(batch["fragment"].to_pylist(),
-                                            batch["chunk_id"].to_pylist()))
-                if k in keys]
-        return fold(decode_live(batch, rows, cols, preds, masks))
+        rows = range(len(batch)) if keys is None else [
+            r for r, k in enumerate(zip(batch["fragment"].to_pylist(),
+                                        batch["chunk_id"].to_pylist()))
+            if k in keys]
+        return fold(decode_live(batch, rows, cols, preds, masks,
+                                verify_checksum))
 
     return enc.map_batches(part, batch_format="pyarrow",
                            batch_size=max(1, cpt), zero_copy_batch=True,

@@ -34,15 +34,12 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..stages.decode import DecodeBatch
 from ..stages.encode import encode_batch
 from ..stages.skew import (
     DEFAULT_TOKEN_BUDGET,
     PKEY,
-    ensure_hash_shuffle_context,
     partition_by_source,
     salt_counts,
-    shuffle_method,
     source_token_totals,
 )
 from ..stages.transport import list_transport_spec, pack_list_columns
@@ -283,36 +280,20 @@ def encode_dataset(
     )
 
 
-def decode_dataset(enc_ds, verify_checksum: bool = True, concurrency=None,
-                   columns: Optional[Sequence[str]] = None,
-                   predicate: Optional[tuple] = None,
-                   chunks_per_task: int = 1,
-                   dict_dirs: Optional[Sequence[str]] = None,
-                   deletes_dir: Optional[str] = None):
-    """Dataset of encoded chunk rows -> Dataset of original rows (lazy).
+def decode_dataset(enc_ds, verify_checksum: bool = True, concurrency=None):
+    """Dataset of encoded chunk rows -> Dataset of original rows (lazy):
+    every row decoded whole, its chunk checksum verified unless
+    ``verify_checksum`` is False.  Stored corpora are read through
+    ``decode_corpus``, which plans, masks and projects."""
+    from ..stages.decode import _decode_all
+    from ..util import default_concurrency
 
-    ``columns``: projected decode (only those payload streams decoded,
-    per-column checksum verify).  ``predicate``: one (col, op, value)
-    clause or a list of clauses AND'd together — zone-map chunk
-    pruning per clause + exact post-filter.  ``chunks_per_task``:
-    chunks decoded per Ray task — at millions of chunks one task per
-    chunk is pure scheduler overhead; ``decode_corpus`` sizes this from
-    the lineage chunk count."""
-    if concurrency is None:
-        from ..util import default_concurrency
-
-        concurrency = default_concurrency()  # cap concurrent heavy tasks
-    kwargs = {"concurrency": concurrency}
-    # stateless -> plain tasks; dict_dirs: shared-dict search roots
-    # registered in each worker (meta path hints cover the common case)
-    fn = DecodeBatch(verify_checksum, columns, predicate, dict_dirs=dict_dirs,
-                     deletes_dir=deletes_dir)
     return enc_ds.map_batches(
-        lambda b: fn(b),
+        lambda b: _decode_all(b, verify_checksum),
         batch_format="pyarrow",
-        batch_size=max(1, chunks_per_task),
+        batch_size=1,
         zero_copy_batch=True,
-        **kwargs,
+        concurrency=concurrency or default_concurrency(),
     )
 
 
@@ -578,8 +559,6 @@ def encode_corpus(
                 nblocks,
                 min(2 * effective_cpus(), total_bytes // (8 << 20) + 1),
             )
-        if partition_by == "source" and shuffle_method() == "hash":
-            ensure_hash_shuffle_context()  # must precede read_parquet
         ds = rd.read_parquet(g, include_paths=True, override_num_blocks=nblocks)
         # Transport narrowing: pack integer list columns to their
         # footer-proven minimal width BEFORE anything leaves the read
@@ -1234,27 +1213,35 @@ def decode_corpus(out_dir: str, verify_checksum: bool = True, concurrency=None,
 
 def _decode_scoped(out_dir: str, snapshot: Optional[str], verify_checksum,
                    concurrency, columns, predicate):
-    """decode_corpus, live or as of a snapshot: with a predicate, only
-    the groups and chunks the planner leaves are read."""
-    from ..stages.decode import normalize_predicates, predicate_columns
+    """decode_corpus, live or as of a snapshot, as one ``scan_chunks``:
+    with a predicate, over the chunks the planner leaves; without one,
+    over every chunk in scope, with no per-chunk planning.  A task left
+    with no rows yields a typed empty."""
+    import ray.data as rd
+
+    from ..stages.decode import normalize_predicates
+    from . import chunk_plan
+    from .pushdown import _typed_empty
 
     preds = normalize_predicates(predicate)
     if preds:
-        from .chunk_plan import plan_chunks, read_chunks
-
-        read_cols = columns if columns is None else list(dict.fromkeys(
-            list(columns) + predicate_columns(preds)))
-        plan = plan_chunks(out_dir, preds, snapshot)
-        enc, cpt = read_chunks(out_dir, plan, plan.proven + plan.maybe,
-                               read_cols, concurrency)
-        deletes_dir = plan.deletes_dir
+        plan = chunk_plan.plan_chunks(out_dir, preds, snapshot)
+        chunks = plan.proven + plan.maybe
     else:
-        groups, deletes_dir = _scope(out_dir, snapshot)
-        enc, cpt = _read_encoded(out_dir, columns, concurrency, groups=groups)
-    return decode_dataset(enc, verify_checksum=verify_checksum,
-                          concurrency=concurrency, columns=columns,
-                          predicate=predicate, chunks_per_task=cpt,
-                          dict_dirs=[out_dir], deletes_dir=deletes_dir)
+        plan = chunk_plan.ChunkPlan([], *_scope(out_dir, snapshot))
+        chunks = None
+    empty = _typed_empty(out_dir, columns)
+    if chunks == []:
+        return rd.from_arrow(empty)  # nothing to scan: no read job
+    sel = None if columns is None else list(columns)
+
+    def fold(ts) -> pa.Table:
+        # drops predicate-only columns the exact filter decoded
+        return pa.concat_tables([t if sel is None else t.select(sel)
+                                 for t in ts] or [empty])
+
+    return chunk_plan.scan_chunks(out_dir, plan, chunks, columns, fold,
+                                  concurrency, verify_checksum)
 
 
 _CHUNK_FILTER_CAP = 20_000
@@ -1264,8 +1251,8 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
                   concurrency=None, groups: Optional[Sequence[str]] = None,
                   chunk_ids: Optional[set] = None):
     """Committed-group encoded chunk rows as a Dataset, plus the
-    lineage-derived chunks-per-task sizing.  Shared by decode_corpus,
-    the fused digest path and the chunk planner's scan.
+    lineage-derived chunks-per-task sizing, for the chunk planner's
+    scan (every corpus read) and delete_where.
 
     ``groups`` names the exact COMMITTED group ids to read instead of
     the active set: the planner passes the groups holding candidate
@@ -1369,7 +1356,7 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
                         if isinstance(lc, str) and lc.startswith("ref:"):
                             phys.add(lc[4:])
             return tuple(
-                ["fragment", "chunk_id", "n_rows", "checksum", "plan_json", "stats_json"]
+                ["fragment", "chunk_id", "n_rows", "checksum", "plan_json"]
                 + [
                     c
                     for i, name in enumerate(plan)
@@ -1393,28 +1380,26 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
 
 def decode_digest_corpus(out_dir: str, columns: Sequence[str],
                          verify_checksum: bool = True, concurrency=None) -> tuple:
-    """(sum, xor, count) digest of the decoded corpus with decode and
-    digest FUSED into one UDF: the decoded blocks never enter the
-    object store (343 MB/84M tokens at sf0.1 otherwise round-trips
-    through plasma between the decode and digest operators)."""
+    """(sum, xor, count) digest of the decoded live corpus with decode
+    and digest FUSED into one scan: each task folds its decoded tables
+    to one ``batch_digest`` row, summed on the driver, so the decoded
+    blocks never enter the object store (343 MB/84M tokens at sf0.1
+    otherwise round-trips through plasma between the decode and digest
+    operators)."""
     from ..stages.verify import batch_digest
-    from ..util import default_concurrency
+    from . import chunk_plan
+    from .pushdown import _typed_empty
 
-    enc, cpt = _read_encoded(out_dir, None, concurrency)
-    fn = DecodeBatch(verify_checksum, dict_dirs=[out_dir],
-                     deletes_dir=_deletes_dir_of(out_dir))
     cols = list(columns)
-    if concurrency is None:
-        concurrency = default_concurrency()
-    digests = enc.map_batches(
-        lambda b: batch_digest(fn(b), cols),
-        batch_format="pyarrow",
-        batch_size=max(1, cpt),
-        zero_copy_batch=True,
-        concurrency=concurrency,
-    ).take_all()
+    empty = _typed_empty(out_dir, cols)
+    plan = chunk_plan.ChunkPlan([], *_scope(out_dir, None))
+
+    def fold(ts) -> dict:
+        return batch_digest(pa.concat_tables(list(ts) or [empty]), cols)
+
     s, x, n = 0, 0, 0
-    for d in digests:
+    for d in chunk_plan.scan_chunks(out_dir, plan, None, None, fold,
+                                    concurrency, verify_checksum).take_all():
         s = (s + (d["h_sum"] & 0xFFFFFFFFFFFFFFFF)) % (1 << 64)
         x ^= d["h_xor"] & 0xFFFFFFFFFFFFFFFF
         n += d["n"]

@@ -114,12 +114,14 @@ def corpus_column_types(out_dir: str) -> dict:
     return out
 
 
-def _typed_empty(out_dir: str, cols: Sequence[str]) -> pa.Table:
-    """Empty table over ``cols`` with the corpus's decoded dtypes
-    (null type only for columns the corpus has never seen)."""
+def _typed_empty(out_dir: str,
+                 cols: Optional[Sequence[str]] = None) -> pa.Table:
+    """Empty table over ``cols`` (None: every column) with the corpus's
+    decoded dtypes (null type only for columns the corpus has never
+    seen)."""
     types = corpus_column_types(out_dir)
     return pa.table({c: pa.array([], type=types.get(c, pa.null()))
-                     for c in cols})
+                     for c in (types if cols is None else cols)})
 
 
 _COUNT = _schema(c=pa.int64())

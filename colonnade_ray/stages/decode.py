@@ -9,14 +9,14 @@ Stateless: a chunk row is self-describing (meta JSON carries codec
 parameters, FSST merges included), so decode tasks are pure and
 retry-safe.
 
-Query-shaped decode (round 2):
+Query-shaped decode:
 - ``columns=``: PROJECTED decode — only the requested payload streams
   are decoded (and, via ``decode_corpus(columns=...)``, only they are
   even read from storage); integrity drops to per-column checksums
   (``meta["ck"]``) since the chunk checksum covers all payloads.
-- ``predicate=(col, op, value)``: zone-map pushdown — chunks whose
-  stored [min, max] provably exclude the predicate are skipped without
-  decoding a byte; surviving chunks are exact-filtered after decode,
+- predicates: the chunk planner (pipelines/chunk_plan.py) prunes
+  chunks whose zone maps or Bloom filters prove no row matches, using
+  the classifier below; ``decode_live`` exact-filters the survivors,
   so the result is precise, not approximate.
 """
 
@@ -585,86 +585,15 @@ def decode_live(batch: pa.Table, rows, columns, preds, del_masks: dict,
             yield t
 
 
-class DecodeBatch:
-    """map_batches callable: a batch of encoded chunk rows -> the
-    concatenation of their decoded tables (optionally projected /
-    predicate-pruned)."""
-
-    def __init__(self, verify_checksum: bool = True,
-                 columns: Optional[Sequence[str]] = None,
-                 predicate=None,
-                 dict_dirs: Optional[Sequence[str]] = None,
-                 deletes_dir: Optional[str] = None):
-        # one predicate expression or a list AND'd together (leaves
-        # and "and"/"or"/"not" nodes); each prunes via the zone maps
-        self.predicates = normalize_predicates(predicate)
-        self._classifier = ChunkClassifier(self.predicates)
-        self.verify_checksum = verify_checksum
-        self.columns = list(columns) if columns is not None else None
-        # predicate columns outside the projection still decode (the
-        # exact filter needs their values) and are dropped afterwards
-        self._dec_cols = None if self.columns is None else list(
-            dict.fromkeys(self.columns
-                          + predicate_columns(self.predicates)))
-        # shared-dict search roots, registered lazily IN THE WORKER
-        # (__init__ may run on the driver before pickling)
-        self.dict_dirs = list(dict_dirs) if dict_dirs else []
-        # merge-on-read deletion vectors (pipelines/deletes.py): the
-        # corpus root whose committed _deletes/ sidecars mask rows out
-        # of every decode.  Masks load lazily in the worker through a
-        # process-global cache — the driver only ships the path.
-        self.deletes_dir = deletes_dir
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if self.dict_dirs:
-            from ..codecs.shared_dict import register_dir
-
-            for d in self.dict_dirs:
-                register_dir(d)
-        del_masks = {}
-        if self.deletes_dir is not None:
-            from ..pipelines.deletes import load_delete_masks
-
-            del_masks = load_delete_masks(self.deletes_dir)
-        rows = range(len(batch))
-        if self.predicates and "stats_json" in batch.column_names:
-            # zone maps / Bloom filters prove the other chunks empty
-            rows = [r for r, sj in enumerate(batch["stats_json"].to_pylist())
-                    if self._classifier.may(parse_stats(sj))]
-        tables = []
-        for t in decode_live(batch, rows, self._dec_cols, self.predicates,
-                             del_masks, self.verify_checksum):
-            if self.columns is not None and t.column_names != self.columns:
-                t = t.select([c for c in self.columns
-                              if c in t.column_names])
-            tables.append(t)
-        if not tables:
-            return self._empty_like(batch)
-        return pa.concat_tables(tables)
-
-    def _empty_like(self, batch: pa.Table) -> pa.Table:
-        """Schema-correct empty output (derived from chunk meta, no
-        payload decode) so blocks stay schema-consistent when the zone
-        map prunes everything."""
-        if len(batch) == 0:
-            return pa.table({})
-        from ..codecs.columns import desc_to_type
-
-        names = json.loads(batch["plan_json"][0].as_py())
-        want = None if self.columns is None else set(self.columns)
-        fields = []
-        for i, name in enumerate(names):
-            if want is not None and name not in want:
-                continue
-            mcol = f"col{i}_meta"
-            if mcol not in batch.column_names:
-                continue
-            meta = json.loads(batch[mcol][0].as_py())
-            fields.append(pa.field(name, desc_to_type(meta["atype"])))
-        return pa.table(
-            {f.name: pa.array([], f.type) for f in fields}
-        ) if fields else pa.table({})
+def _decode_all(batch: pa.Table, verify_checksum: bool) -> pa.Table:
+    """Every chunk row of ``batch`` decoded whole and concatenated; a
+    zero-row chunk still contributes its typed zero-row table."""
+    tables = [decode_chunk_row(row, verify_checksum)
+              for row in batch.to_pylist()]
+    return pa.concat_tables(tables) if tables else pa.table({})
 
 
 def decode_batch(batch: pa.Table) -> pa.Table:
-    return DecodeBatch()(batch)
+    """An in-memory encoded batch -> its decoded rows, each chunk's
+    checksum verified."""
+    return _decode_all(batch, True)

@@ -27,7 +27,6 @@ compressed/balanced.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 import pandas as pd
@@ -140,62 +139,20 @@ def partition_by_source(
     nsalts: dict,
     id_col: str = "doc_id",
     source_col: str = "source",
-    method: Optional[str] = None,
 ):
-    """The explicit shuffle: salt, partition on (source, salt).
+    """The explicit shuffle: salt, then one global range partition on
+    (source, salt) (``ds.sort``).
 
     This is the ONE mandated all-to-all in the encode pipeline
     (SURVEY.md §7 "shuffles and their keys"); everything else streams.
-    Two exchange implementations (``method`` or env
-    ``COLONNADE_SHUFFLE``, default ``sort``):
-
-    - ``sort``: global range partition (``ds.sort``) — sampled key
-      ranges, globally ordered output.
-    - ``hash``: hash repartition on the key with per-partition sort
-      (``repartition(keys=[PKEY], sort=True)``) — no sampling pass and
-      no global merge; blocks are key-disjoint and sorted WITHIN, which
-      is all the encoder needs (batches must be runs of one
-      (source, salt) bucket, not globally ordered).  Requires the
-      HASH_SHUFFLE strategy set on the DataContext BEFORE the source
-      dataset is created (see ensure_hash_shuffle_context).
-
-    Measured (673M tokens, 16 CPUs, interleaved repeats): the range
-    sort wins ~2.5x on this pipeline (28-35 s vs 72-92 s) — Ray 2.49's
-    hash-shuffle operator pays heavy per-partition finalization here —
-    so ``sort`` stays the default; ``hash`` is kept as the
-    sampling-free alternative for cluster topologies where the sort's
-    global sample/merge is the bottleneck.
+    It is the only exchange because it measured fastest: at 673M
+    tokens on 16 CPUs (interleaved repeats) the range sort took 28-35 s
+    against 72-92 s for a hash repartition with per-partition sort, as
+    Ray 2.49's hash-shuffle operator pays heavy per-partition
+    finalization here; and a session switched to hash shuffling once
+    stalled a 550-row keyed antijoin for ~9 minutes.
     """
-    import os
-
     keyed = ds.map_batches(
         AddPartitionKey(nsalts, id_col, source_col), batch_format="pyarrow"
     )
-    method = method or os.environ.get("COLONNADE_SHUFFLE", "sort")
-    if method == "hash":
-        # NB: the caller must have set
-        # DataContext.shuffle_strategy = "hash_shuffle" BEFORE creating
-        # the source dataset (the context is snapshotted at read time);
-        # encode_corpus does this.  ensure_hash_shuffle_context() is the
-        # helper.
-        from ..util import effective_cpus
-
-        total_keys = int(sum(nsalts.values())) or 1
-        nparts = min(total_keys, max(2 * effective_cpus(), 8))
-        return keyed.repartition(num_blocks=nparts, keys=[PKEY], sort=True)
     return keyed.sort(PKEY)
-
-
-def shuffle_method(method: Optional[str] = None) -> str:
-    import os
-
-    return method or os.environ.get("COLONNADE_SHUFFLE", "sort")
-
-
-def ensure_hash_shuffle_context() -> None:
-    """Set the session DataContext to hash shuffling.  Must run BEFORE
-    the source dataset is created — Ray snapshots the context into the
-    dataset's plan at creation time."""
-    from ray.data import DataContext
-
-    DataContext.get_current().shuffle_strategy = "hash_shuffle"

@@ -17,10 +17,8 @@ from colonnade_ray.codecs import Encoded, int_stats, select_int_codec
 from colonnade_ray.codecs.base import (
     pack_uints,
     unpack_uints,
-    unzigzag,
     varint_decode,
     varint_encode,
-    zigzag,
 )
 from colonnade_ray.codecs.ints import INT_CODECS
 
@@ -148,11 +146,6 @@ def test_pack_unpack_widths(width):
         assert np.array_equal(unpack_uints(buf, v.size, width), v), (width, n)
 
 
-def test_zigzag_extremes():
-    v = np.array([0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63)], np.int64)
-    assert np.array_equal(unzigzag(zigzag(v)).astype(np.int64), v)
-
-
 def test_varint_roundtrip():
     v = np.concatenate(
         [
@@ -255,22 +248,12 @@ def test_torn_frame_chunk_coordinates():
 def test_delta_for_beats_zigzag_on_jittered_intervals():
     """Round-3: deltas are FOR'd (residual = delta - min_delta), so a
     jittered regular interval packs at bit_width(jitter range), not
-    bit_width(2*delta) — and old zigzag frames still decode."""
+    bit_width(2*delta)."""
     codec = INT_CODECS["delta_bitpack"]
     x = np.cumsum(RNG.integers(100, 131, 5000)).astype(np.int64)
     enc = codec.encode(x)
     assert np.array_equal(codec.decode(enc), x)
     assert enc.meta["width"] <= 5  # range 30 -> 5 bits (zigzag paid 9)
-    # backward compat: decode a round-2-style zigzag frame (no dbase)
-    from colonnade_ray.codecs.base import pack_uints, zigzag
-
-    d = np.diff(x)
-    zz = zigzag(d)
-    w = int(zz.max()).bit_length()
-    old = Encoded("delta_bitpack",
-                  {"dt": "i8", "n": int(x.size), "first": int(x[0]), "width": w},
-                  [pack_uints(zz, w)])
-    assert np.array_equal(codec.decode(old), x)
 
 
 @pytest.mark.parametrize("codec_name", ["dict_rans_shared", "dict_rans2_shared"])

@@ -395,9 +395,22 @@ def test_projected_decode_detects_column_corruption(ray_session, tmp_path):
     pq.write_table(corrupted, f, compression="none")
     from colonnade_ray.errors import ChecksumError
 
-    with pytest.raises(Exception) as e:
-        decode_corpus(out, columns=["n_tok"]).take_all()
-    assert "Checksum" in str(type(e.value).__name__) or "checksum" in str(e.value).lower()
+    from colonnade_ray.pipelines import decode_digest_corpus
+
+    reads = {
+        "projected": lambda v: decode_corpus(
+            out, v, columns=["n_tok"]).take_all(),
+        "full": lambda v: decode_corpus(out, v).take_all(),
+        "predicated": lambda v: decode_corpus(
+            out, v, predicate=("n_tok", ">=", 0)).take_all(),
+        "digest": lambda v: decode_digest_corpus(out, names, v),
+    }
+    for name, read in reads.items():
+        with pytest.raises(Exception) as e:
+            read(True)
+        assert "Checksum" in str(type(e.value).__name__) \
+            or "checksum" in str(e.value).lower(), name
+        read(False)  # the pushdowns' unverified scan reads the same bytes
 
 
 def test_incremental_append_new_fragments(ray_session, tmp_path):
@@ -1070,6 +1083,115 @@ def test_pushdowns_scan_once_through_one_consumer(tmp_path, ray_session,
             .groupby("g").head(3)
         pd.testing.assert_frame_equal(
             got, want[["g", "n_tok", "doc_id"]].reset_index(drop=True))
+
+
+def test_corpus_reads_scan_once(tmp_path, ray_session, monkeypatch):
+    """Every corpus read is one ``chunk_plan.scan_chunks``: full,
+    projected and predicated ``decode_corpus``, ``decode_snapshot`` and
+    ``decode_digest_corpus`` each call it exactly once and equal
+    pyarrow over the live rows.  The corpus has a whole-chunk delete,
+    a partial mask and a snapshot taken before a later delete.  The
+    unpredicated reads do no per-chunk planning, so they succeed with
+    the stats parser patched to raise; a read whose tasks are all
+    masked or filtered away still yields typed blocks."""
+    import ray
+
+    from colonnade_ray.pipelines import (
+        chunk_plan,
+        create_snapshot,
+        decode_digest_corpus,
+        decode_snapshot,
+        delete_where,
+    )
+    from colonnade_ray.stages import decode as decode_stage
+    from colonnade_ray.stages.verify import batch_digest
+
+    n = 512
+    v = np.arange(n)
+    t = pa.table({"doc_id": pa.array([f"d{i:05d}" for i in v]),
+                  "n_tok": pa.array(v, pa.int64()),
+                  "tokens": pa.array([[int(i), int(i) % 7] for i in v],
+                                     pa.list_(pa.int32()))})
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(t.take(np.random.default_rng(7).permutation(n)),
+                   src / "p0.parquet")
+    out = str(tmp_path / "enc")
+    encode_corpus(str(src), out, batch_size=64, cluster_by="n_tok")
+    delete_where(out, ("n_tok", "<", 64))   # chunk 0 deleted whole
+    delete_where(out, ("n_tok", "==", 70))  # a partial mask
+    create_snapshot(out, "before")
+    delete_where(out, ("n_tok", "in", [200, 201]))
+
+    def drop(tbl, gone):
+        keep = pa.compute.invert(pa.compute.is_in(
+            tbl["n_tok"], pa.array(gone, pa.int64())))
+        return tbl.filter(keep).sort_by("n_tok")
+
+    snap = drop(t, [*range(64), 70])
+    live = drop(snap, [200, 201])
+
+    scans = []
+    real_scan = chunk_plan.scan_chunks
+
+    def scan_chunks(*a, **k):
+        scans.append(1)
+        return real_scan(*a, **k)
+
+    def blocks(ds):
+        return ray.get(ds.materialize().to_arrow_refs())
+
+    def rows(ds, sort=True):
+        got = pa.concat_tables(blocks(ds))
+        return got.sort_by("n_tok") if sort else got
+
+    def once(fn, *a, **k):
+        scans.clear()
+        res = fn(*a, **k)
+        assert len(scans) == 1, (fn.__name__, a, k)
+        return res
+
+    cols = ["doc_id", "n_tok", "tokens"]
+    with monkeypatch.context() as mp:
+        mp.setattr(chunk_plan, "scan_chunks", scan_chunks)
+        assert rows(once(decode_corpus, out)).equals(live)
+        assert rows(once(decode_corpus, out, columns=["n_tok", "doc_id"])
+                    ).equals(live.select(["n_tok", "doc_id"]))
+        got = rows(once(decode_corpus, out, columns=["doc_id"],
+                        predicate=("n_tok", ">=", 100)), sort=False)
+        assert got.column_names == ["doc_id"]  # predicate column dropped
+        assert sorted(got["doc_id"].to_pylist()) == \
+            live.filter(pa.compute.greater_equal(live["n_tok"], 100)
+                        )["doc_id"].to_pylist()
+        assert rows(once(decode_snapshot, out, "before")).equals(snap)
+        want = batch_digest(live, cols)
+        assert once(decode_digest_corpus, out, cols) == (
+            want["h_sum"][0] & 0xFFFFFFFFFFFFFFFF,
+            want["h_xor"][0] & 0xFFFFFFFFFFFFFFFF, live.num_rows)
+        # the one candidate chunk's only match is masked: typed empties
+        gone = once(decode_corpus, out, columns=["doc_id", "n_tok"],
+                    predicate=("n_tok", "==", 70))
+        typed = live.select(["doc_id", "n_tok"]).schema
+        assert blocks(gone) and all(b.num_rows == 0 and b.schema == typed
+                                    for b in blocks(gone))
+        # nothing left to scan: one typed empty block and no read job
+        scans.clear()
+        none = decode_corpus(out, columns=["doc_id", "n_tok"],
+                             predicate=("n_tok", ">", 10 ** 6))
+        assert not scans
+        assert [(b.num_rows, b.schema) for b in blocks(none)] == \
+            [(0, typed)]
+
+    def no_stats(*a, **k):
+        raise AssertionError("unpredicated read parsed chunk stats")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(decode_stage, "parse_stats", no_stats)
+        assert rows(decode_corpus(out)).equals(live)
+        assert rows(decode_corpus(out, columns=["n_tok"])).equals(
+            live.select(["n_tok"]))
+        assert rows(decode_snapshot(out, "before")).equals(snap)
+        assert decode_digest_corpus(out, cols)[2] == live.num_rows
 
 
 def test_pushdowns_after_vacuum_empties_first_group(tmp_path, ray_session,

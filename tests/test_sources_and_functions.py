@@ -731,20 +731,28 @@ def test_asof_join_unit(ray_session):
     def m(minutes):
         return t0 + dt.timedelta(minutes=minutes)
 
+    big = 2**60  # int64 columns above 2**53 must come back exact
     left = rd.from_items([
-        {"k": 1, "ts": m(10), "lv": "a"},
-        {"k": 1, "ts": m(30), "lv": "b"},
-        {"k": 2, "ts": m(5), "lv": "c"},   # no prior right row
+        {"k": 1, "ts": m(10), "lv": "a", "lb": big + 1},
+        {"k": 1, "ts": m(30), "lv": "b", "lb": big + 2},
+        {"k": 2, "ts": m(5), "lv": "c", "lb": big + 3},   # no prior right row
+        {"k": 1, "ts": m(1), "lv": "d", "lb": big + 4},   # ditto, beside matches
     ])
     right = rd.from_items([
-        {"k": 1, "ts": m(8), "rv": 100},
-        {"k": 1, "ts": m(25), "rv": 200},
-        {"k": 2, "ts": m(50), "rv": 300},  # after left -> no match
+        {"k": 1, "ts": m(8), "rv": 100, "rb": big + 11},
+        {"k": 1, "ts": m(25), "rv": 200, "rb": big + 12},
+        {"k": 2, "ts": m(50), "rv": 300, "rb": big + 13},  # after left -> no match
     ])
-    out = {(r["k"], r["lv"]): r["rv_right"] for r in asof_join(left, right, on="k").take_all()}
+    rows = asof_join(left, right, on="k").take_all()
+    out = {(r["k"], r["lv"]): r["rv_right"] for r in rows}
     assert out[(1, "a")] == 100
     assert out[(1, "b")] == 200
     assert out[(2, "c")] is None or (out[(2, "c")] != out[(2, "c")])  # null/nan
+    exact = {r["lv"]: (r["lb"], r["rb_right"]) for r in rows}
+    assert exact["a"] == (big + 1, big + 11)
+    assert exact["b"] == (big + 2, big + 12)
+    assert exact["c"][0] == big + 3
+    assert exact["d"][0] == big + 4
 
 
 # ---------------------------------------------------------------------------
