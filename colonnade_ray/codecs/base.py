@@ -296,19 +296,6 @@ def varint_decode(buf: bytes, n: int) -> np.ndarray:
     return vals
 
 
-def varint_size(vals_or_bitlens: np.ndarray) -> int:
-    """Total varint bytes for the given unsigned values."""
-    v = vals_or_bitlens.astype(np.uint64, copy=False)
-    if v.size == 0:
-        return 0
-    nb = np.ones(v.size, dtype=np.int64)
-    for k in range(1, 10):
-        if 7 * k >= 64:
-            break
-        nb += (v >= np.uint64(1 << (7 * k))).astype(np.int64)
-    return int(nb.sum())
-
-
 # dtype descriptor helpers -------------------------------------------------
 
 _DTYPES = {

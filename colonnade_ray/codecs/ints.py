@@ -30,7 +30,6 @@ from .base import (
     unpack_uints,
     varint_decode,
     varint_encode,
-    varint_size,
 )
 
 _META_OVERHEAD = 48  # rough per-chunk metadata cost charged to every codec

@@ -32,7 +32,7 @@ TOKENS_SCHEMA = pa.schema(
 )
 
 
-def tokenized_documents(sf_dir: str, concurrency=None):
+def tokenized_documents(sf_dir: str):
     """documents.parquet -> Dataset in the F1/token-corpus shape."""
     import ray.data as rd
 
@@ -42,10 +42,9 @@ def tokenized_documents(sf_dir: str, concurrency=None):
     )
     from .util import default_concurrency
 
-    if concurrency is None:
-        concurrency = default_concurrency()
     return ds.map_batches(
-        HashTokenizer, batch_format="pyarrow", batch_size=2048, concurrency=concurrency
+        HashTokenizer, batch_format="pyarrow", batch_size=2048,
+        concurrency=default_concurrency(),
     )
 
 

@@ -267,10 +267,12 @@ class BpeSegment:
 
 
 def bpe_segment(ds, merges: pa.Table, text_col: str = "text",
-                id_col: str = "doc_id", concurrency: int = 4):
+                id_col: str = "doc_id"):
     """Corpus segmentation stats under a learned merge table — the
     "how many subword tokens is this corpus" costing pass.  Merge
     table is tiny (num_merges rows): closure capture, no shuffle."""
+    from ..util import default_concurrency
+
     return ds.map_batches(
         BpeSegment, fn_constructor_args=(merges, text_col, id_col),
-        batch_format="pyarrow", concurrency=concurrency)
+        batch_format="pyarrow", concurrency=(1, default_concurrency()))

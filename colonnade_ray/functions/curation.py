@@ -57,7 +57,7 @@ def collect_test_shingles(test_ds, text_col: str = "text", shingle_k: int = 5) -
 
 
 def contamination_check(ds, test_ds, text_col: str = "text", id_col: str = "doc_id",
-                        shingle_k: int = 5, concurrency=None):
+                        shingle_k: int = 5):
     """Per-doc overlap with a held-out set's k-gram shingles.
 
     Output: (id_col, n_shingles, n_contaminated) — distinct shingles
@@ -98,7 +98,7 @@ def contamination_check(ds, test_ds, text_col: str = "text", id_col: str = "doc_
 
     return ds.map_batches(
         Contaminate, batch_format="pyarrow",
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 

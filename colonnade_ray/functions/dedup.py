@@ -411,7 +411,7 @@ def pair_counts(pairs_ds, out_col: str = "inter"):
 
 
 def minhash_candidates(ds, text_col="text", id_col="doc_id", bands=16, rows_per_band=4,
-                       shingle_k=5, concurrency=None, mode="oph",
+                       shingle_k=5, mode="oph",
                        max_band_group: Optional[int] = None,
                        distinct: bool = True):
     """LSH candidate pairs (id_a < id_b), deduplicated.
@@ -425,7 +425,6 @@ def minhash_candidates(ds, text_col="text", id_col="doc_id", bands=16, rows_per_
     shuffle."""
     from ..util import default_concurrency
 
-    conc = concurrency or (1, default_concurrency())
     exploded = ds.map_batches(
         MinHashBands,
         fn_constructor_kwargs=dict(
@@ -433,7 +432,7 @@ def minhash_candidates(ds, text_col="text", id_col="doc_id", bands=16, rows_per_
             shingle_k=shingle_k, mode=mode,
         ),
         batch_format="pyarrow",
-        concurrency=conc,
+        concurrency=(1, default_concurrency()),
     )
     # bucketed band-key shuffle + vectorized per-bucket self-merge:
     # emits each co-bucketed pair once per band, deduped locally
@@ -447,50 +446,6 @@ def minhash_candidates(ds, text_col="text", id_col="doc_id", bands=16, rows_per_
         return pairs
     # a pair can surface from several bands — dedup
     return distinct_pairs(pairs)
-
-
-class JaccardVerify:
-    """Verify candidate pairs against exact n-gram Jaccard.
-
-    Broadcast pattern (no shuffle): the texts of candidate docs are
-    fetched once per actor from a ray.put handle, then each pair is
-    verified vectorized."""
-
-    def __init__(self, texts_ref, shingle_k=5, threshold=0.7):
-        import ray
-
-        self.texts = ray.get(texts_ref)  # dict id -> text, once per actor
-        self.k = shingle_k
-        self.threshold = threshold
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        a_ids = batch["id_a"].to_pylist()
-        b_ids = batch["id_b"].to_pylist()
-        keep_a, keep_b, jac = [], [], []
-        cache: dict = {}
-
-        def sh(i):
-            if i not in cache:
-                cache[i] = set(
-                    _word_shingle_hashes(pd.Series([self.texts.get(i, "")]), self.k)[0].tolist()
-                )
-            return cache[i]
-
-        for x, y in zip(a_ids, b_ids):
-            sa, sb = sh(x), sh(y)
-            u = len(sa | sb)
-            j = (len(sa & sb) / u) if u else 1.0
-            if j >= self.threshold:
-                keep_a.append(x)
-                keep_b.append(y)
-                jac.append(j)
-        return pa.table(
-            {
-                "id_a": pa.array(keep_a, batch["id_a"].type),
-                "id_b": pa.array(keep_b, batch["id_b"].type),
-                "jaccard": pa.array(jac, pa.float64()),
-            }
-        )
 
 
 class JaccardVerifyTexts:
@@ -515,33 +470,20 @@ class JaccardVerifyTexts:
         return out.append_column("jaccard", pa.array(jac[keep]))
 
 
-def near_dup_pairs(ds, texts_ref=None, text_col="text", id_col="doc_id",
+def near_dup_pairs(ds, text_col="text", id_col="doc_id",
                    threshold=0.7, bands=16, rows_per_band=4, shingle_k=5,
                    mode="oph"):
     """MinHash-LSH candidates -> exact Jaccard verification.
 
-    Default path is scale-safe: candidate ids are hash-joined back to
-    the (id, text) table twice (id_a, then id_b) and verified per
-    batch — candidate rows, never the corpus, are what shuffles, and
-    nothing materializes on the driver (round-1 What's-wrong #3 fix).
+    Scale-safe: candidate ids are hash-joined back to the (id, text)
+    table twice (id_a, then id_b) and verified per batch — candidate
+    rows, never the corpus, are what shuffles, and nothing
+    materializes on the driver (round-1 What's-wrong #3 fix).
     The cross-band candidate dedup is fused into the first hash join
     (keyed_attach ``dedup_on``): every copy of an (id_a, id_b) pair
     lands in id_a's bucket, so the per-bucket drop_duplicates is
-    global and one whole exchange barrier disappears.
-    ``texts_ref=ray.put({id: text})`` selects the explicit broadcast
-    path for small corpora instead."""
+    global and one whole exchange barrier disappears."""
     from ..util import default_concurrency
-
-    if texts_ref is not None:
-        cands = minhash_candidates(ds, text_col, id_col, bands, rows_per_band,
-                                   shingle_k, mode=mode)
-        return cands.map_batches(
-            JaccardVerify,
-            fn_constructor_kwargs=dict(texts_ref=texts_ref, shingle_k=shingle_k,
-                                       threshold=threshold),
-            batch_format="pyarrow",
-            concurrency=(1, default_concurrency()),
-        )
     from .relational import keyed_attach
 
     cands = minhash_candidates(ds, text_col, id_col, bands, rows_per_band,
@@ -641,7 +583,7 @@ class WinnowFingerprint:
 
 
 def winnow_fingerprints(ds, text_col="text", id_col="doc_id", k: int = 5,
-                        w: int = 4, concurrency=None, hash_fn: str = "pandas"):
+                        w: int = 4, hash_fn: str = "pandas"):
     """(doc_id, fingerprints:list<int64>, n_fp, n_grams) per doc."""
     from ..util import default_concurrency
 
@@ -650,7 +592,7 @@ def winnow_fingerprints(ds, text_col="text", id_col="doc_id", k: int = 5,
         fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col, k=k, w=w,
                                    hash_fn=hash_fn),
         batch_format="pyarrow",
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 
@@ -730,8 +672,7 @@ class SimHash:
         )
 
 
-def simhash_signatures(ds, text_col="text", id_col="doc_id", concurrency=None,
-                       hash_fn="pandas"):
+def simhash_signatures(ds, text_col="text", id_col="doc_id", hash_fn="pandas"):
     from ..util import default_concurrency
 
     return ds.map_batches(
@@ -739,7 +680,7 @@ def simhash_signatures(ds, text_col="text", id_col="doc_id", concurrency=None,
         fn_constructor_kwargs=dict(text_col=text_col, id_col=id_col,
                                    hash_fn=hash_fn),
         batch_format="pyarrow",
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 
@@ -1051,7 +992,7 @@ def jaccard_pairs_exact(ds, threshold=0.8, text_col="text", id_col="doc_id",
 
 
 def simhash_candidates(ds, text_col="text", id_col="doc_id", max_hamming: int = 3,
-                       concurrency=None, hash_fn="pandas",
+                       hash_fn="pandas",
                        max_band_group: Optional[int] = None):
     """SimHash near-dup pairs within a hamming ball — the scale path
     for the 64-bit signatures.
@@ -1075,8 +1016,7 @@ def simhash_candidates(ds, text_col="text", id_col="doc_id", max_hamming: int = 
     widths = [64 // nbands + (1 if i < 64 % nbands else 0) for i in range(nbands)]
     offsets = np.concatenate(([0], np.cumsum(widths)))[:-1]
 
-    sigs = simhash_signatures(ds, text_col, id_col, concurrency=concurrency,
-                              hash_fn=hash_fn)
+    sigs = simhash_signatures(ds, text_col, id_col, hash_fn=hash_fn)
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         h = df["simhash"].to_numpy().view(np.uint64)

@@ -104,7 +104,7 @@ class MediaFeatureExtract:
 
 
 def extract_media_features(ds, decoder: Optional[Callable] = None,
-                           batch_size: int = 64, concurrency=None):
+                           batch_size: int = 64):
     """Feature-extract a media Dataset.
 
     batch_size defaults SMALL (64 rows): payloads can be MBs each, and
@@ -117,7 +117,7 @@ def extract_media_features(ds, decoder: Optional[Callable] = None,
         fn_constructor_kwargs={"decoder": decoder},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 
@@ -430,8 +430,7 @@ class ImageResize:
         )
 
 
-def resize_images(ds, out_w: int = 64, out_h: int = 64, batch_size: int = 64,
-                  concurrency=None):
+def resize_images(ds, out_w: int = 64, out_h: int = 64, batch_size: int = 64):
     """Resize a PPM image Dataset (actor pool, small batches)."""
     from ..util import default_concurrency
 
@@ -440,7 +439,7 @@ def resize_images(ds, out_w: int = 64, out_h: int = 64, batch_size: int = 64,
         fn_constructor_kwargs={"out_w": out_w, "out_h": out_h},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 
@@ -527,7 +526,7 @@ class FrameSample:
 
 
 def sample_frames(ds, every: Optional[int] = None, n_frames: Optional[int] = None,
-                  batch_size: int = 16, concurrency=None):
+                  batch_size: int = 16):
     """Frame-sample a video Dataset (actor pool, very small batches —
     each row is a whole video)."""
     from ..util import default_concurrency
@@ -537,7 +536,7 @@ def sample_frames(ds, every: Optional[int] = None, n_frames: Optional[int] = Non
         fn_constructor_kwargs={"every": every, "n_frames": n_frames},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 
@@ -606,8 +605,7 @@ class AudioSpectralFeatures:
 
 
 def extract_audio_features(ds, n_bands: int = 32, frame: int = 256,
-                           hop: int = 128, batch_size: int = 64,
-                           concurrency=None):
+                           hop: int = 128, batch_size: int = 64):
     """Spectral-feature a WAV Dataset (actor pool; window/band tables
     built once per actor)."""
     from ..util import default_concurrency
@@ -618,7 +616,7 @@ def extract_audio_features(ds, n_bands: int = 32, frame: int = 256,
                                "hop": hop},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 

@@ -90,7 +90,7 @@ class BroadcastJoin:
         return out
 
 
-def broadcast_join(ds, small_table, on: str, how: str = "inner", concurrency=None):
+def broadcast_join(ds, small_table, on: str, how: str = "inner"):
     """Join ``ds`` against a small in-memory side (pa.Table/DataFrame).
 
     ray.put once; every actor reads the same object — never re-shipped
@@ -104,7 +104,7 @@ def broadcast_join(ds, small_table, on: str, how: str = "inner", concurrency=Non
         BroadcastJoin,
         fn_constructor_kwargs={"small_ref": ref, "on": on, "how": how},
         batch_format="pyarrow",
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 
@@ -651,8 +651,7 @@ def grouped_topk(ds, group_cols: Sequence[str], order_col: str, k: int = 3,
 
 def interval_join(ds, intervals: "pa.Table", value_col: str,
                   lo_col: str = "lo", hi_col: str = "hi",
-                  label_col: str = "label", out_col: str = "label",
-                  concurrency=None):
+                  label_col: str = "label", out_col: str = "label"):
     """Non-equi join of rows to [lo, hi) intervals — the broadcast
     range-join (calendar tables, size/price bands, IP ranges).
 
@@ -690,7 +689,7 @@ def interval_join(ds, intervals: "pa.Table", value_col: str,
 
     return ds.map_batches(
         Probe, batch_format="pyarrow",
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 
@@ -836,12 +835,16 @@ def _lattice_levels_distributed(fine_ds, dims: list, level_keeps: list,
     return out.sort(dims)
 
 
-def rollup_counts(ds, dims: Sequence[str], sentinel: str = "(all)",
-                  max_driver_groups: int = 100_000):
+# Fine-group count above which rollup_counts / cube_counts derive the
+# lattice as distributed aggregates instead of on the driver.
+MAX_DRIVER_GROUPS = 100_000
+
+
+def rollup_counts(ds, dims: Sequence[str], sentinel: str = "(all)"):
     """GROUP BY ROLLUP(dims...) row counts: one DISTRIBUTED aggregate
     at the finest level, then every coarser level derived from that
     group-level result — on the driver while the fine result is
-    provably driver-small (≤ ``max_driver_groups`` groups, the same
+    provably driver-small (≤ ``MAX_DRIVER_GROUPS`` groups, the same
     argument as broadcast-join small sides; returns pandas), else via
     a second round of DISTRIBUTED aggregates over the materialized
     fine Dataset (returns a sorted Dataset — an unbounded-cardinality
@@ -853,7 +856,7 @@ def rollup_counts(ds, dims: Sequence[str], sentinel: str = "(all)",
     dims = list(dims)
     fine_ds = ds.groupby(dims).aggregate(Count(alias_name="n")).materialize()
     level_keeps = [tuple(dims[:lvl]) for lvl in range(len(dims), -1, -1)]
-    if fine_ds.count() > max_driver_groups:
+    if fine_ds.count() > MAX_DRIVER_GROUPS:
         return _lattice_levels_distributed(fine_ds, dims, level_keeps,
                                            sentinel)
     fine = fine_ds.to_pandas()
@@ -1013,13 +1016,12 @@ def retention_counts(ds, cohort_type: str = "signup",
     return out.sort(["cohort_week", "week_offset"])
 
 
-def cube_counts(ds, dims: Sequence[str], sentinel: str = "(all)",
-                max_driver_groups: int = 100_000):
+def cube_counts(ds, dims: Sequence[str], sentinel: str = "(all)"):
     """GROUP BY CUBE(dims...) row counts: the same one-distributed-
     fine-pass optimization as ``rollup_counts``, but EVERY subset of
     dims is derived from the groups-sized fine result (2^|dims|
     subsets — dims lists are short by construction).  Above
-    ``max_driver_groups`` fine groups the subsets are derived as
+    ``MAX_DRIVER_GROUPS`` fine groups the subsets are derived as
     distributed aggregates and a sorted Dataset is returned (same
     guard as rollup_counts)."""
     from itertools import combinations
@@ -1028,7 +1030,7 @@ def cube_counts(ds, dims: Sequence[str], sentinel: str = "(all)",
 
     dims = list(dims)
     fine_ds = ds.groupby(dims).aggregate(Count(alias_name="n")).materialize()
-    if fine_ds.count() > max_driver_groups:
+    if fine_ds.count() > MAX_DRIVER_GROUPS:
         level_keeps = [keep for r in range(len(dims), -1, -1)
                        for keep in combinations(dims, r)]
         return _lattice_levels_distributed(fine_ds, dims, level_keeps,

@@ -80,8 +80,7 @@ class RemapTokens:
         )
 
 
-def remap_tokens(ds, lut: np.ndarray, unk_id: int = 0, tokens_col: str = "tokens",
-                 concurrency=None):
+def remap_tokens(ds, lut: np.ndarray, unk_id: int = 0, tokens_col: str = "tokens"):
     import ray
 
     from ..util import default_concurrency
@@ -91,7 +90,7 @@ def remap_tokens(ds, lut: np.ndarray, unk_id: int = 0, tokens_col: str = "tokens
         RemapTokens,
         fn_constructor_kwargs=dict(lut_ref=ref, unk_id=unk_id, tokens_col=tokens_col),
         batch_format="pyarrow",
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )
 
 
@@ -185,8 +184,7 @@ class PackSequences:
 
 
 def pack_sequences(ds, seq_len: int = 2048, eos_id: int = 0,
-                   keep_remainder: bool = False, concurrency=None,
-                   batch_size=None):
+                   keep_remainder: bool = False, batch_size=None):
     from ..util import default_concurrency
 
     kwargs = {} if batch_size is None else {"batch_size": batch_size}
@@ -195,7 +193,7 @@ def pack_sequences(ds, seq_len: int = 2048, eos_id: int = 0,
         fn_constructor_kwargs=dict(seq_len=seq_len, eos_id=eos_id,
                                    keep_remainder=keep_remainder),
         batch_format="pyarrow",
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
         **kwargs,
     )
 

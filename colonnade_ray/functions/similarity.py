@@ -441,12 +441,18 @@ class CosinePairs:
         )
 
 
+# Row count above which cosine_pairs_exact hands off to the LSH path.
+MAX_EXACT_ROWS = 50_000
+# Candidate-row volume above which lsh_verified_near_dups reroutes to
+# cosine_pairs_blocked.
+CANDIDATE_ROW_BUDGET = 2e8
+
+
 def cosine_pairs_exact(ds, threshold: float = 0.95,
-                       emb_col: str = "embedding", id_col: str = "vec_id",
-                       max_exact_rows: int = 50_000):
+                       emb_col: str = "embedding", id_col: str = "vec_id"):
     """Exact embedding-cosine near-dup pairs (broadcast matrix).
 
-    Quadratic by construction, so inputs above ``max_exact_rows`` are
+    Quadratic by construction, so inputs above ``MAX_EXACT_ROWS`` are
     automatically routed to the scale path (``lsh_verified_near_dups``
     with recall-shaped bands + exact cosine verification) instead of
     OOMing the driver with a whole-corpus broadcast — callers keep one
@@ -455,7 +461,7 @@ def cosine_pairs_exact(ds, threshold: float = 0.95,
 
     from ..util import default_concurrency
 
-    if ds.count() > max_exact_rows:
+    if ds.count() > MAX_EXACT_ROWS:
         return lsh_verified_near_dups(
             ds, threshold, bands=64, bits_per_band=2,
             emb_col=emb_col, id_col=id_col,
@@ -731,9 +737,7 @@ def _estimate_candidate_rows(exploded, keys=("band", "band_hash")) -> float:
 
 def lsh_verified_near_dups(ds, threshold: float, bands: int = 8,
                            bits_per_band: int = 10,
-                           emb_col: str = "embedding", id_col: str = "vec_id",
-                           route: str = "auto",
-                           candidate_row_budget: float = 2e8):
+                           emb_col: str = "embedding", id_col: str = "vec_id"):
     """The scale-shaped near-dup pipeline with an exact guarantee on
     precision: sign-LSH candidates (one band-key shuffle) -> exact
     cosine verification.  Equals cosine_pairs_exact whenever the LSH
@@ -749,32 +753,28 @@ def lsh_verified_near_dups(ds, threshold: float, bands: int = 8,
     stacked row-wise dot product.  No actor ever holds more than one
     hash bucket of embeddings.
 
-    ``route='auto'`` guards the candidate volume (the round-4 10x
-    lesson: recall-1 bands at low cos thresholds are the quadratic
-    scan in disguise): one cheap statistics pass over the band keys
-    computes the exact candidate-row count the groups would emit; if
-    it exceeds ``candidate_row_budget`` the call reroutes to
-    cosine_pairs_blocked — same exact result (blocked IS the
-    ground-truth scan), ~1000x less exchange traffic in that regime.
-    ``route='lsh'`` / ``route='blocked'`` force a path."""
+    A guard on the candidate volume (the round-4 10x lesson: recall-1
+    bands at low cos thresholds are the quadratic scan in disguise):
+    one cheap statistics pass over the band keys computes the exact
+    candidate-row count the groups would emit; if it exceeds
+    ``CANDIDATE_ROW_BUDGET`` the call reroutes to cosine_pairs_blocked
+    — same exact result (blocked IS the ground-truth scan), ~1000x
+    less exchange traffic in that regime."""
     import pandas as pd
 
     from ..util import default_concurrency
     from .bucketing import bucketed_group_apply
 
-    if route == "blocked":
+    probe = ds.map_batches(
+        HyperplaneLsh,
+        fn_constructor_kwargs=dict(
+            dim=len(ds.take(1)[0][emb_col]), bands=bands,
+            bits_per_band=bits_per_band, emb_col=emb_col, id_col=id_col),
+        batch_format="pyarrow",
+        concurrency=(1, default_concurrency()),
+    )
+    if _estimate_candidate_rows(probe) > CANDIDATE_ROW_BUDGET:
         return cosine_pairs_blocked(ds, threshold, emb_col, id_col)
-    if route == "auto":
-        probe = ds.map_batches(
-            HyperplaneLsh,
-            fn_constructor_kwargs=dict(
-                dim=len(ds.take(1)[0][emb_col]), bands=bands,
-                bits_per_band=bits_per_band, emb_col=emb_col, id_col=id_col),
-            batch_format="pyarrow",
-            concurrency=(1, default_concurrency()),
-        )
-        if _estimate_candidate_rows(probe) > candidate_row_budget:
-            return cosine_pairs_blocked(ds, threshold, emb_col, id_col)
 
     cand = embedding_near_dup_candidates(ds, bands, bits_per_band, emb_col, id_col)
     dim = len(ds.take(1)[0][emb_col])

@@ -124,19 +124,17 @@ def single_group(stats: dict, group_col: str):
     return band[0]
 
 
-def read_chunks(out_dir: str, plan: ChunkPlan, chunks, columns,
-                concurrency=None):
+def read_chunks(out_dir: str, plan: ChunkPlan, chunks, columns):
     """``_read_encoded`` over just ``chunks``: their groups, in plan
     order, and their parquet row groups."""
     hit = {c.gid for c in chunks}
-    return _read_encoded(out_dir, columns, concurrency,
+    return _read_encoded(out_dir, columns,
                          groups=[g for g in plan.groups if g in hit],
                          chunk_ids={c.chunk_id for c in chunks})
 
 
 def scan_chunks(out_dir: str, plan: ChunkPlan, chunks, columns,
-                fold: Callable, concurrency=None,
-                verify_checksum: bool = False):
+                fold: Callable, verify_checksum: bool = False):
     """Decode ``chunks`` of ``plan`` and fold each task's live,
     predicate-filtered tables (an iterator; only chunks with rows left)
     into one partial ``pa.Table``.  Reads only those chunks' groups and
@@ -153,11 +151,10 @@ def scan_chunks(out_dir: str, plan: ChunkPlan, chunks, columns,
         [*columns, *predicate_columns(plan.preds)]))
     if chunks is None:
         keys = None
-        enc, cpt = _read_encoded(out_dir, cols, concurrency,
-                                 groups=plan.groups)
+        enc, cpt = _read_encoded(out_dir, cols, groups=plan.groups)
     else:
         keys = {c.key for c in chunks}
-        enc, cpt = read_chunks(out_dir, plan, chunks, cols, concurrency)
+        enc, cpt = read_chunks(out_dir, plan, chunks, cols)
     preds, deletes_dir = plan.preds, plan.deletes_dir
 
     def part(batch: pa.Table) -> pa.Table:
@@ -172,4 +169,4 @@ def scan_chunks(out_dir: str, plan: ChunkPlan, chunks, columns,
 
     return enc.map_batches(part, batch_format="pyarrow",
                            batch_size=max(1, cpt), zero_copy_batch=True,
-                           concurrency=concurrency or default_concurrency())
+                           concurrency=default_concurrency())

@@ -145,7 +145,7 @@ def deleted_row_count(out_dir: str) -> int:
     return total
 
 
-def delete_where(out_dir: str, predicate, concurrency=None,
+def delete_where(out_dir: str, predicate,
                  exclude_covering: Optional[set] = None,
                  max_retries: int = 2) -> dict:
     """Mark every row matching ``predicate`` (TRUE rows only — SQL
@@ -175,8 +175,7 @@ def delete_where(out_dir: str, predicate, concurrency=None,
     last: Exception | None = None
     for _ in range(max_retries + 1):
         try:
-            return _delete_where_once(out_dir, predicate, concurrency,
-                                      exclude_covering)
+            return _delete_where_once(out_dir, predicate, exclude_covering)
         except ConcurrentWriteError as e:
             last = e
     raise last
@@ -193,7 +192,7 @@ def _delete_rows(rows: list) -> pa.Table:
                      for n, c, t in zip(names, cols, types)})
 
 
-def _delete_where_once(out_dir: str, predicate, concurrency=None,
+def _delete_where_once(out_dir: str, predicate,
                        exclude_covering: Optional[set] = None) -> dict:
     from ..stages.decode import (
         decode_chunk_row,
@@ -247,7 +246,7 @@ def _delete_where_once(out_dir: str, predicate, concurrency=None,
     plan = _plan(out_dir, preds, groups, None)
     if plan.maybe:
         keys = {c.key for c in plan.maybe}
-        enc, cpt = read_chunks(out_dir, plan, plan.maybe, cols, concurrency)
+        enc, cpt = read_chunks(out_dir, plan, plan.maybe, cols)
 
         def part(batch: pa.Table) -> pa.Table:
             _register_dict_dir(out_dir)
@@ -274,7 +273,7 @@ def _delete_where_once(out_dir: str, predicate, concurrency=None,
         enc.map_batches(
             part, batch_format="pyarrow", batch_size=max(1, cpt),
             zero_copy_batch=True,
-            concurrency=concurrency or default_concurrency(),
+            concurrency=default_concurrency(),
         ).write_parquet(ddir, compression="zstd")
     # proven chunks: every row matches -> a 0-byte "all" marker
     os.makedirs(ddir, exist_ok=True)
@@ -373,7 +372,6 @@ class _DropDeleted:
 
 
 def vacuum_deletes(out_dir: str, gc: bool = True,
-                   concurrency=None,
                    max_concurrent_groups: int = 4) -> dict:
     """Materialize pending deletions: re-encode ONLY the groups whose
     chunks carry masks (group-parallel, decode->filter->re-encode
@@ -417,8 +415,7 @@ def vacuum_deletes(out_dir: str, gc: bool = True,
             h.update(b"\x00" + did.encode())
         _rewrite_group(out_dir, session, "v" + h.hexdigest()[:15], [gid],
                        _ReencodeChunks(out_dir, _DropDeleted(out_dir)),
-                       gc=gc, concurrency=concurrency,
-                       what=f"vacuum group {gid}")
+                       gc=gc, what=f"vacuum group {gid}")
 
     _run_groups(_one, affected, max_concurrent_groups)
 

@@ -280,7 +280,7 @@ def encode_dataset(
     )
 
 
-def decode_dataset(enc_ds, verify_checksum: bool = True, concurrency=None):
+def decode_dataset(enc_ds, verify_checksum: bool = True):
     """Dataset of encoded chunk rows -> Dataset of original rows (lazy):
     every row decoded whole, its chunk checksum verified unless
     ``verify_checksum`` is False.  Stored corpora are read through
@@ -293,7 +293,7 @@ def decode_dataset(enc_ds, verify_checksum: bool = True, concurrency=None):
         batch_format="pyarrow",
         batch_size=1,
         zero_copy_batch=True,
-        concurrency=concurrency or default_concurrency(),
+        concurrency=default_concurrency(),
     )
 
 
@@ -961,7 +961,7 @@ def _rewrite_group(out_dir: str, session, ngid: str, sources: Sequence[str],
                    rewriter=None, *, files: Optional[Sequence[str]] = None,
                    replaces: Optional[Sequence[str]] = None, keep=(),
                    num_blocks: Optional[int] = None, gc: bool = True,
-                   concurrency=None, what: str = "rewrite") -> list:
+                   what: str = "rewrite") -> list:
     """The one group-rewrite path of every lifecycle op (add/drop/
     rename columns, update, vacuum, compaction, restore): the chunk
     rows of ``files`` (default: every file of groups ``sources``),
@@ -994,8 +994,7 @@ def _rewrite_group(out_dir: str, session, ngid: str, sources: Sequence[str],
             files, override_num_blocks=num_blocks or max(1, len(files)))
         if rewriter is not None:
             ds = ds.map_batches(rewriter, batch_format="pyarrow",
-                                batch_size=4, zero_copy_batch=True,
-                                concurrency=concurrency)
+                                batch_size=4, zero_copy_batch=True)
         ds.write_parquet(gdir, compression="none", row_group_size=1)
     if any(f.endswith(".parquet") for f in os.listdir(gdir)):
         lineage = pq.read_table(gdir, columns=LINEAGE_COLS)
@@ -1193,7 +1192,7 @@ def sweep_orphans(out_dir: str) -> dict:
     return removed
 
 
-def decode_corpus(out_dir: str, verify_checksum: bool = True, concurrency=None,
+def decode_corpus(out_dir: str, verify_checksum: bool = True,
                   columns: Optional[Sequence[str]] = None,
                   predicate: Optional[tuple] = None):
     """Read back only committed groups (lineage present) and decode.
@@ -1207,12 +1206,11 @@ def decode_corpus(out_dir: str, verify_checksum: bool = True, concurrency=None,
     for the exact filter (their payloads join the storage read) and
     are dropped from the result.
     """
-    return _decode_scoped(out_dir, None, verify_checksum, concurrency,
-                          columns, predicate)
+    return _decode_scoped(out_dir, None, verify_checksum, columns, predicate)
 
 
 def _decode_scoped(out_dir: str, snapshot: Optional[str], verify_checksum,
-                   concurrency, columns, predicate):
+                   columns, predicate):
     """decode_corpus, live or as of a snapshot, as one ``scan_chunks``:
     with a predicate, over the chunks the planner leaves; without one,
     over every chunk in scope, with no per-chunk planning.  A task left
@@ -1241,14 +1239,14 @@ def _decode_scoped(out_dir: str, snapshot: Optional[str], verify_checksum,
                                  for t in ts] or [empty])
 
     return chunk_plan.scan_chunks(out_dir, plan, chunks, columns, fold,
-                                  concurrency, verify_checksum)
+                                  verify_checksum)
 
 
 _CHUNK_FILTER_CAP = 20_000
 
 
 def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
-                  concurrency=None, groups: Optional[Sequence[str]] = None,
+                  groups: Optional[Sequence[str]] = None,
                   chunk_ids: Optional[set] = None):
     """Committed-group encoded chunk rows as a Dataset, plus the
     lineage-derived chunks-per-task sizing, for the chunk planner's
@@ -1298,8 +1296,7 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
         lin = lineage_table(out_dir, gid)  # manifest-sized, cached
         n_chunks += lin.num_rows
         total_tokens += int(pc.sum(lin["n_tokens"]).as_py() or 0)
-    eff = concurrency if concurrency is not None else default_concurrency()
-    cpt = min(8, max(1, n_chunks // (4 * max(eff, 1))))
+    cpt = min(8, max(1, n_chunks // (4 * default_concurrency())))
     # cap by tokens-per-task, not just chunk count: a decode+digest
     # call allocates several uint64 temporaries over every token in
     # the call, so task working set is proportional to tokens bundled.
@@ -1379,7 +1376,7 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
 
 
 def decode_digest_corpus(out_dir: str, columns: Sequence[str],
-                         verify_checksum: bool = True, concurrency=None) -> tuple:
+                         verify_checksum: bool = True) -> tuple:
     """(sum, xor, count) digest of the decoded live corpus with decode
     and digest FUSED into one scan: each task folds its decoded tables
     to one ``batch_digest`` row, summed on the driver, so the decoded
@@ -1399,7 +1396,7 @@ def decode_digest_corpus(out_dir: str, columns: Sequence[str],
 
     s, x, n = 0, 0, 0
     for d in chunk_plan.scan_chunks(out_dir, plan, None, None, fold,
-                                    concurrency, verify_checksum).take_all():
+                                    verify_checksum).take_all():
         s = (s + (d["h_sum"] & 0xFFFFFFFFFFFFFFFF)) % (1 << 64)
         x ^= d["h_xor"] & 0xFFFFFFFFFFFFFFFF
         n += d["n"]

@@ -137,8 +137,7 @@ class _AugmentChunks:
 
 def add_columns(out_dir: str, fn: Callable, input_columns: Sequence[str],
                 names: Optional[Sequence[str]] = None,
-                gc: bool = True, concurrency=None,
-                max_concurrent_groups: int = 4) -> dict:
+                gc: bool = True, max_concurrent_groups: int = 4) -> dict:
     """Attach ``fn``-derived columns to every chunk of the corpus.
 
     ``fn``: pa.Table (the chunk projected to ``input_columns``) ->
@@ -227,8 +226,7 @@ def add_columns(out_dir: str, fn: Callable, input_columns: Sequence[str],
             h.update(b"\x00" + n.encode())
         _rewrite_group(out_dir, session, "a" + h.hexdigest()[:15], [gid],
                        _AugmentChunks(out_dir, fn, input_columns, names),
-                       gc=gc, concurrency=concurrency,
-                       what=f"add_columns group {gid}")
+                       gc=gc, what=f"add_columns group {gid}")
 
     # commit the provenance record BEFORE any group rewrite (intent
     # log): a crash after some groups carry the new columns but before
@@ -339,7 +337,7 @@ class _RewriteSchema:
 
 
 def _rewrite_schema(out_dir: str, session, rewriter: _RewriteSchema,
-                    tag: str, gc: bool = True, concurrency=None,
+                    tag: str, gc: bool = True,
                     max_concurrent_groups: int = 4) -> int:
     """Shared drop/rename driver: rewrite every active group under the
     supersedes protocol.  Returns the number of rewritten groups."""
@@ -371,15 +369,14 @@ def _rewrite_schema(out_dir: str, session, rewriter: _RewriteSchema,
                 f"{a}>{b}" for a, b in rewriter.rename.items()):
             h.update(b"\x00" + n.encode())
         _rewrite_group(out_dir, session, "s" + h.hexdigest()[:15], [gid],
-                       rewriter, gc=gc, concurrency=concurrency,
-                       what=f"{tag} group {gid}")
+                       rewriter, gc=gc, what=f"{tag} group {gid}")
 
     _run_groups(_one, todo, max_concurrent_groups)
     return len(todo)
 
 
 def drop_columns(out_dir: str, names: Sequence[str],
-                 gc: bool = True, concurrency=None) -> dict:
+                 gc: bool = True) -> dict:
     """Physically remove columns from the corpus: their payload bytes
     stop existing (space reclaimed), everything else moves verbatim.
     Refuses to drop a column that stores the lengths of a SURVIVING
@@ -414,7 +411,7 @@ def drop_columns(out_dir: str, names: Sequence[str],
                         f"(group {gid})")
     done = _rewrite_schema(out_dir, session, _RewriteSchema(drop=names),
                            f"drop:{','.join(sorted(names))}",
-                           gc=gc, concurrency=concurrency)
+                           gc=gc)
     # keep the augment provenance record consistent
     rec_path = os.path.join(out_dir, "_meta", "augmented_columns.json")
     if os.path.exists(rec_path):
@@ -428,7 +425,7 @@ def drop_columns(out_dir: str, names: Sequence[str],
 
 
 def rename_columns(out_dir: str, mapping: dict,
-                   gc: bool = True, concurrency=None) -> dict:
+                   gc: bool = True) -> dict:
     """Rename columns corpus-wide: a pure metadata rewrite (payloads
     move verbatim; plan, per-column meta names, zone-map keys and
     cross-column length refs all follow)."""
@@ -454,7 +451,7 @@ def rename_columns(out_dir: str, mapping: dict,
     done = _rewrite_schema(out_dir, session, _RewriteSchema(rename=mapping),
                            "rename:" + ",".join(
                                f"{a}>{b}" for a, b in sorted(mapping.items())),
-                           gc=gc, concurrency=concurrency)
+                           gc=gc)
     rec_path = os.path.join(out_dir, "_meta", "augmented_columns.json")
     if os.path.exists(rec_path):
         with open(rec_path) as fh:
@@ -516,8 +513,7 @@ class _UpdateRows:
 
 
 def update_where(out_dir: str, predicate, fn: Callable,
-                 gc: bool = True, concurrency=None,
-                 max_concurrent_groups: int = 4) -> dict:
+                 gc: bool = True, max_concurrent_groups: int = 4) -> dict:
     """UPDATE ... WHERE over an encoded corpus — the reference's
     ``modifyWhen`` (colonnade/src/Colonnade.hs:217-248) lifted to
     corpus lifecycle.  ``fn``: pa.Table of the MATCHING rows (full
@@ -568,8 +564,7 @@ def update_where(out_dir: str, predicate, fn: Callable,
         # a delete/vacuum/merge landing mid-update aborts this rewrite
         # cleanly (committed groups stay readable, a re-run converges)
         _rewrite_group(out_dir, session, "u" + h.hexdigest()[:15], [gid],
-                       rewriter, gc=gc, concurrency=concurrency,
-                       what=f"update group {gid}")
+                       rewriter, gc=gc, what=f"update group {gid}")
 
     _run_groups(_one, todo, max_concurrent_groups)
     return {"updated_groups": len(todo),
@@ -577,7 +572,7 @@ def update_where(out_dir: str, predicate, fn: Callable,
 
 
 def replace_where(out_dir: str, predicate, values: dict,
-                  gc: bool = True, concurrency=None) -> dict:
+                  gc: bool = True) -> dict:
     """``replaceWhen``: constant-assignment UPDATE (SET col = value
     for each entry of ``values``) on rows matching ``predicate``."""
     consts = dict(values)
@@ -593,5 +588,4 @@ def replace_where(out_dir: str, predicate, values: dict,
                 cols[name] = matched[name]
         return pa.table(cols)
 
-    return update_where(out_dir, predicate, fn, gc=gc,
-                        concurrency=concurrency)
+    return update_where(out_dir, predicate, fn, gc=gc)

@@ -67,7 +67,7 @@ def _already(out_dir: str) -> set:
 
 
 def merge_rows(out_dir: str, inputs, key: str,
-               concurrency=None, **encode_kwargs) -> dict:
+               **encode_kwargs) -> dict:
     """Upsert the parquet files in ``inputs`` into the encoded corpus
     at ``out_dir``: rows whose ``key`` matches an existing corpus row
     supersede it; new keys append.  The merge batch must be
@@ -85,12 +85,11 @@ def merge_rows(out_dir: str, inputs, key: str,
 
     with commit_lock(out_dir, name="merge",
                      timeout_s=300.0, stale_s=1800.0):
-        return _merge_rows_unlocked(out_dir, inputs, key,
-                                    concurrency, **encode_kwargs)
+        return _merge_rows_unlocked(out_dir, inputs, key, **encode_kwargs)
 
 
 def _merge_rows_unlocked(out_dir: str, inputs, key: str,
-                         concurrency=None, **encode_kwargs) -> dict:
+                         **encode_kwargs) -> dict:
     """Body of ``merge_rows``; caller holds the merge mutex.
 
     ``encode_kwargs`` pass through to ``encode_corpus`` for the
@@ -130,7 +129,6 @@ def _merge_rows_unlocked(out_dir: str, inputs, key: str,
     # the group(s) covering the merge batch itself.  Scope comes from
     # input files (stable across crash-retries), not a captured gid.
     res = delete_where(out_dir, (key, "in", uniq),
-                       concurrency=concurrency,
                        exclude_covering=set(files))
     return {
         "appended_rows": n_in if fresh else 0,
@@ -142,7 +140,7 @@ def _merge_rows_unlocked(out_dir: str, inputs, key: str,
 
 
 def apply_changes(out_dir: str, inputs, key: str, op_col: str = "op",
-                  concurrency=None, **encode_kwargs) -> dict:
+                  **encode_kwargs) -> dict:
     """CDC apply: each row of ``inputs`` carries ``op_col`` with
     ``"upsert"`` (replace-or-insert the row, ``op_col`` stripped) or
     ``"delete"`` (remove the key; the row's other columns are
@@ -206,12 +204,10 @@ def apply_changes(out_dir: str, inputs, key: str, op_col: str = "op",
                 pq.write_table(ups, tmp)
                 os.replace(tmp, staged)
             m = _merge_rows_unlocked(out_dir, staged, key=key,
-                                     concurrency=concurrency,
                                      **encode_kwargs)
             res["masked_rows_upsert"] = m["masked_rows"]
         if del_keys:
             d = delete_where(out_dir, (key, "in", del_keys),
-                             concurrency=concurrency,
                              exclude_covering={staged} if staged else None)
             res["masked_rows_delete"] = d["rows_deleted"]
     return res

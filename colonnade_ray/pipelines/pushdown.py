@@ -28,8 +28,7 @@ from .encode_pipeline import _group_files, active_groups
 
 def run_pushdown(out_dir: str, *, meta: Callable, columns: Sequence[str],
                  schema: pa.Schema, fold: Callable, merge: Callable,
-                 predicate=None, snapshot: Optional[str] = None,
-                 concurrency=None) -> tuple:
+                 predicate=None, snapshot: Optional[str] = None) -> tuple:
     """Run one pushdown: plan, answer from metadata, scan what is left
     once, and merge every partial into the accumulator as it streams
     in.  When nothing is left to scan no Ray job starts.
@@ -49,7 +48,7 @@ def run_pushdown(out_dir: str, *, meta: Callable, columns: Sequence[str],
             return fold(ts).cast(schema)
 
         parts = chunk_plan.scan_chunks(out_dir, plan, scan, columns,
-                                       typed_fold, concurrency)
+                                       typed_fold)
         for part in parts.iter_batches(batch_format="pyarrow",
                                        batch_size=None):
             if part.num_rows:  # the empty partial is the identity
@@ -127,7 +126,7 @@ def _typed_empty(out_dir: str,
 _COUNT = _schema(c=pa.int64())
 
 
-def count_where(out_dir: str, predicate, concurrency=None,
+def count_where(out_dir: str, predicate,
                 snapshot: Optional[str] = None) -> int:
     """COUNT(*) pushdown over the encoded corpus: chunks whose zone
     map proves NO row matches cost nothing, chunks proven ALL-match
@@ -151,7 +150,7 @@ def count_where(out_dir: str, predicate, concurrency=None,
         fold=lambda ts: pa.table([[sum(t.num_rows for t in ts)]],
                                  schema=_COUNT),
         merge=lambda n, p: n + pc.sum(p["c"]).as_py(),
-        predicate=predicate, snapshot=snapshot, concurrency=concurrency)
+        predicate=predicate, snapshot=snapshot)
     return n
 
 
@@ -159,8 +158,7 @@ _JSON_VALUE = _schema(v=pa.string())
 
 
 def aggregate_where(out_dir: str, agg: str, col: str,
-                    predicate=None, concurrency=None,
-                    snapshot: Optional[str] = None):
+                    predicate=None, snapshot: Optional[str] = None):
     """MIN / MAX / SUM pushdown over one encoded column, optionally
     under a predicate — the same three-way chunk classification as
     ``count_where``:
@@ -218,8 +216,7 @@ def aggregate_where(out_dir: str, agg: str, col: str,
 
     acc, _, _ = run_pushdown(
         out_dir, meta=meta, columns=[col], schema=_JSON_VALUE, fold=fold,
-        merge=merge, predicate=predicate, snapshot=snapshot,
-        concurrency=concurrency)
+        merge=merge, predicate=predicate, snapshot=snapshot)
     return acc
 
 
@@ -228,7 +225,7 @@ _SUMMARY = _schema(n=pa.int64(), s=pa.int64(), mn=pa.int64(),
 
 
 def summary_where(out_dir: str, col: str, predicate=None,
-                  concurrency=None, snapshot: Optional[str] = None) -> dict:
+                  snapshot: Optional[str] = None) -> dict:
     """COUNT / SUM / MIN / MAX of one integer column in ONE pass —
     what would otherwise be count_where + 3 aggregate_where scans.
     Same 3-way chunk classification: no-match chunks free, proven
@@ -269,8 +266,7 @@ def summary_where(out_dir: str, col: str, predicate=None,
 
     (n, s, mn, mx), _, _ = run_pushdown(
         out_dir, meta=meta, columns=[col], schema=_SUMMARY, fold=fold,
-        merge=merge, predicate=predicate, snapshot=snapshot,
-        concurrency=concurrency)
+        merge=merge, predicate=predicate, snapshot=snapshot)
     return {"count": int(n), "sum": int(s),
             "min": None if mn is None else int(mn),
             "max": None if mx is None else int(mx)}
@@ -324,8 +320,8 @@ def _top(t: pa.Table, k: int, order: list, group_col=None) -> pa.Table:
     return t.filter(pa.array(rank < k))
 
 
-def _run_topk(out_dir, out_cols, meta, top, predicate, snapshot,
-              concurrency) -> pa.Table:
+def _run_topk(out_dir, out_cols, meta, top, predicate,
+              snapshot) -> pa.Table:
     """Both top-k pushdowns: ``meta(plan)`` names the chunks that can
     reach the answer; every task keeps its local ``top`` and the
     driver a running one, so no more than the answer is held."""
@@ -339,15 +335,14 @@ def _run_topk(out_dir, out_cols, meta, top, predicate, snapshot,
         out_dir, meta=lambda plan: (empty, meta(plan)), columns=out_cols,
         schema=empty.schema, fold=fold,
         merge=lambda acc, p: top(pa.concat_tables([acc, p])),
-        predicate=predicate, snapshot=snapshot, concurrency=concurrency)
+        predicate=predicate, snapshot=snapshot)
     return res
 
 
 def topk_where(out_dir: str, col: str, k: int = 10,
                columns: Optional[Sequence[str]] = None,
                descending: bool = True, predicate=None,
-               tie_cols: Sequence[str] = (), concurrency=None,
-               snapshot: Optional[str] = None,
+               tie_cols: Sequence[str] = (), snapshot: Optional[str] = None,
                return_stats: bool = False) -> pa.Table:
     """ORDER BY col LIMIT k pushdown over the encoded corpus: only
     chunks whose zone band can still reach the top-k decode.
@@ -397,14 +392,14 @@ def topk_where(out_dir: str, col: str, k: int = 10,
 
     out_cols = list(dict.fromkeys([col, *tie_cols, *(columns or [])]))
     res = _run_topk(out_dir, out_cols, meta, lambda t: _top(t, k, order),
-                    predicate, snapshot, concurrency)
+                    predicate, snapshot)
     return (res, stats) if return_stats else res
 
 
 def grouped_topk_where(out_dir: str, group_col: str, value_col: str,
                        k: int = 3, columns: Optional[Sequence[str]] = None,
                        descending: bool = True,
-                       tie_cols: Sequence[str] = (), concurrency=None,
+                       tie_cols: Sequence[str] = (),
                        snapshot: Optional[str] = None,
                        return_stats: bool = False):
     """Top-k rows PER GROUP over the encoded corpus — ``topk_where``'s
@@ -449,12 +444,12 @@ def grouped_topk_where(out_dir: str, group_col: str, value_col: str,
         [group_col, value_col, *tie_cols, *(columns or [])]))
     res = _run_topk(out_dir, out_cols, meta,
                     lambda t: _top(t, k, order, group_col),
-                    None, snapshot, concurrency)
+                    None, snapshot)
     return (res, stats) if return_stats else res
 
 
 def approx_distinct(out_dir: str, col: str, predicate=None,
-                    concurrency=None, snapshot: Optional[str] = None,
+                    snapshot: Optional[str] = None,
                     return_stats: bool = False):
     """APPROX COUNT(DISTINCT col) over the encoded corpus, sketch-first.
 
@@ -499,8 +494,7 @@ def approx_distinct(out_dir: str, col: str, predicate=None,
 
     regs, plan, scan = run_pushdown(
         out_dir, meta=meta, columns=[col], schema=schema, fold=fold,
-        merge=merge, predicate=predicate, snapshot=snapshot,
-        concurrency=concurrency)
+        merge=merge, predicate=predicate, snapshot=snapshot)
     est = float(hll_estimate(regs))
     return (est, _scan_stats(plan, scan)) if return_stats else est
 
@@ -537,8 +531,7 @@ _VALUES = _schema(v=pa.int64())
 
 
 def approx_quantiles(out_dir: str, col: str, qs=(0.25, 0.5, 0.75),
-                     predicate=None, concurrency=None,
-                     snapshot: Optional[str] = None,
+                     predicate=None, snapshot: Optional[str] = None,
                      return_stats: bool = False):
     """APPROX quantiles of one integer column over the encoded corpus,
     sketch-first — the quantile member of the pushdown aggregate
@@ -585,14 +578,13 @@ def approx_quantiles(out_dir: str, col: str, qs=(0.25, 0.5, 0.75),
 
     grids, plan, scan = run_pushdown(
         out_dir, meta=meta, columns=[col], schema=_VALUES, fold=fold,
-        merge=merge, predicate=predicate, snapshot=snapshot,
-        concurrency=concurrency)
+        merge=merge, predicate=predicate, snapshot=snapshot)
     res = merge_quant_grids(grids, qs)
     return (res, _scan_stats(plan, scan)) if return_stats else res
 
 
 def grouped_approx_quantiles(out_dir: str, group_col: str, col: str,
-                             qs=(0.25, 0.5, 0.75), concurrency=None,
+                             qs=(0.25, 0.5, 0.75),
                              snapshot: Optional[str] = None,
                              return_stats: bool = False):
     """Per-GROUP approx quantiles over the encoded corpus — the
@@ -641,7 +633,7 @@ def grouped_approx_quantiles(out_dir: str, group_col: str, col: str,
 
     grids, plan, scan = run_pushdown(
         out_dir, meta=meta, columns=[group_col, col], schema=schema,
-        fold=fold, merge=merge, snapshot=snapshot, concurrency=concurrency)
+        fold=fold, merge=merge, snapshot=snapshot)
     out = pd.DataFrame({group_col: g, "q": float(q), "value": v}
                        for g in sorted(grids)
                        for q, v in zip(qs, merge_quant_grids(grids[g], qs)))
@@ -687,7 +679,7 @@ def _group_fold(ts, group_col: str, value_col: Optional[str],
 
 
 def _run_grouped(out_dir, group_col, value_col, aggs, meta_row,
-                 snapshot, concurrency):
+                 snapshot):
     """group_counts / group_aggregates: chunks ``meta_row`` answers
     (one partial row, or None) from metadata, the rest decode; the
     merged per-group table as pandas, sorted by group."""
@@ -716,7 +708,7 @@ def _run_grouped(out_dir, group_col, value_col, aggs, meta_row,
         columns=[group_col] + ([value_col] if value_col else []),
         schema=schema, fold=fold,
         merge=lambda acc, p: _group_by(pa.concat_tables([acc, p]), aggs),
-        snapshot=snapshot, concurrency=concurrency)
+        snapshot=snapshot)
     names = {"g": group_col, "n": "n_rows", "s": f"sum_{value_col}",
              "mn": f"min_{value_col}", "mx": f"max_{value_col}"}
     keep = [c for c in schema.names if value_col or c != "s"]
@@ -725,7 +717,7 @@ def _run_grouped(out_dir, group_col, value_col, aggs, meta_row,
 
 
 def group_counts(out_dir: str, group_col: str,
-                 value_col: Optional[str] = None, concurrency=None,
+                 value_col: Optional[str] = None,
                  snapshot: Optional[str] = None):
     """Per-group row counts (and optional integer-column sums) over
     the encoded corpus, metadata-first: a chunk whose ``group_col``
@@ -753,12 +745,11 @@ def group_counts(out_dir: str, group_col: str,
         return None
 
     return _run_grouped(out_dir, group_col, value_col,
-                        {"n": "sum", "s": "sum"}, meta_row, snapshot,
-                        concurrency)
+                        {"n": "sum", "s": "sum"}, meta_row, snapshot)
 
 
 def group_aggregates(out_dir: str, group_col: str, value_col: str,
-                     concurrency=None, snapshot: Optional[str] = None):
+                     snapshot: Optional[str] = None):
     """Per-group COUNT / SUM / MIN / MAX over one integer column of
     the encoded corpus — ``group_counts`` extended with the min/max
     bounds the zone maps already store: a chunk proven single-group
@@ -780,7 +771,7 @@ def group_aggregates(out_dir: str, group_col: str, value_col: str,
 
     out = _run_grouped(out_dir, group_col, value_col,
                        {"n": "sum", "s": "sum", "mn": "min", "mx": "max"},
-                       meta_row, snapshot, concurrency)
+                       meta_row, snapshot)
     for c in (f"min_{value_col}", f"max_{value_col}"):
         if out[c].notna().all():
             out[c] = out[c].astype("int64")

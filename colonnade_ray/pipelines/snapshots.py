@@ -139,8 +139,7 @@ def pinned_groups(out_dir: str) -> set:
     return {g for m in list_snapshots(out_dir) for g in m["groups"]}
 
 
-def restore_snapshot(out_dir: str, tag: str, gc: bool = True,
-                     concurrency=None) -> dict:
+def restore_snapshot(out_dir: str, tag: str, gc: bool = True) -> dict:
     """Roll the LIVE corpus back to snapshot ``tag``: materialize the
     pinned groups (with the snapshot's masks applied — the restored
     state needs no sidecars) as new committed groups that supersede
@@ -245,7 +244,7 @@ def restore_snapshot(out_dir: str, tag: str, gc: bool = True,
         # silently superseded
         shadow.update(_rewrite_group(
             out_dir, session, ngid, m["groups"], rewriter, files=files,
-            replaces=roots, keep=targets, gc=gc, concurrency=concurrency,
+            replaces=roots, keep=targets, gc=gc,
             what=f"restore cohort {ngid}"))
         restored += 1
     return {"restored_cohorts": restored,
@@ -253,7 +252,6 @@ def restore_snapshot(out_dir: str, tag: str, gc: bool = True,
 
 
 def decode_snapshot(out_dir: str, tag: str, verify_checksum: bool = True,
-                    concurrency=None,
                     columns: Optional[Sequence[str]] = None,
                     predicate: Optional[tuple] = None):
     """``decode_corpus`` as of snapshot ``tag``: reads exactly the
@@ -262,5 +260,4 @@ def decode_snapshot(out_dir: str, tag: str, verify_checksum: bool = True,
     vacuum still apply from the snapshot's copy)."""
     from .encode_pipeline import _decode_scoped
 
-    return _decode_scoped(out_dir, tag, verify_checksum, concurrency,
-                          columns, predicate)
+    return _decode_scoped(out_dir, tag, verify_checksum, columns, predicate)

@@ -23,7 +23,7 @@ from .typed_csv import CsvColumn, TypedCsvDecoder
 __all__ = ["CsvColumn", "read_typed_jsonl"]
 
 
-def read_typed_jsonl(paths, columns: list, concurrency=None):
+def read_typed_jsonl(paths, columns: list):
     """ray.data.read_json -> typed validated Dataset (declared
     ``CsvColumn`` list, same contract as read_typed_csv; gzip/zstd
     inputs inferred from extension)."""
@@ -38,5 +38,5 @@ def read_typed_jsonl(paths, columns: list, concurrency=None):
         TypedCsvDecoder,
         fn_constructor_kwargs={"columns": columns},
         batch_format="pyarrow",
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )

@@ -205,7 +205,7 @@ def compression_read_args(paths) -> dict:
     return {"arrow_open_stream_args": {"compression": ext}} if ext else {}
 
 
-def read_typed_csv(paths, columns: list, concurrency=None, **read_kwargs):
+def read_typed_csv(paths, columns: list, **read_kwargs):
     """ray.data.read_csv -> typed validated Dataset (gzip/zstd inputs
     inferred from extension).  ``read_kwargs`` pass through to the
     Arrow CSV reader — e.g. ``read_options=ReadOptions(block_size=N)``
@@ -232,5 +232,5 @@ def read_typed_csv(paths, columns: list, concurrency=None, **read_kwargs):
         TypedCsvDecoder,
         fn_constructor_kwargs={"columns": columns},
         batch_format="pyarrow",
-        concurrency=concurrency or (1, default_concurrency()),
+        concurrency=(1, default_concurrency()),
     )

@@ -21,13 +21,26 @@ def effective_cpus() -> int:
     return min(cpus, int(cap)) if cap else cpus
 
 
-def default_concurrency(floor: int = 1) -> int:
-    """Cap on concurrent tasks (or actors) of one heavy map stage —
-    decode, verify and the functions layer: ~3/4 of effective CPUs,
-    leaving proportional headroom for the read/shuffle/write stages.
-    Encode sets no cap (its tasks fuse into the read).  Proportional (not
-    CPUs-minus-constant) so that scaling runs at different CPU counts
-    give every stage the same resource SHARE — constant headroom makes
-    small-CPU runs under-provision the pool and distorts measured
-    scaling efficiency."""
-    return max(floor, (3 * effective_cpus()) // 4)
+def default_concurrency() -> int:
+    """The one concurrency rule: 3/4 of effective CPUs, at least 1.
+    No engine op takes a per-call worker count; each ``map_batches``
+    site derives its cap from this value, by stage kind:
+
+    - engine task maps (the chunk scan, delete marking, decode and
+      verify) and the ``tokenized_documents`` tokenizer pool:
+      ``concurrency=default_concurrency()``, never more than the CPUs;
+    - functions-layer and typed-source actor stages: an autoscaling
+      pool ``(1, default_concurrency())``, which starts with one actor,
+      so a small session never waits on a pool larger than its CPUs
+      (a fixed pool of 4 hung ``bpe_segment`` on 2 CPUs);
+    - encode and the group rewriter: no cap (encode tasks fuse into
+      the read; lifecycle ops bound how many groups rewrite at once
+      with ``max_concurrent_groups``).
+
+    3/4 leaves proportional headroom for the read/shuffle/write stages
+    the capped stage feeds on.  Proportional (not CPUs-minus-constant)
+    so that scaling runs at different CPU counts give every stage the
+    same resource SHARE — constant headroom makes small-CPU runs
+    under-provision the pool and distorts measured scaling
+    efficiency."""
+    return max(1, (3 * effective_cpus()) // 4)

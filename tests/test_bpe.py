@@ -79,8 +79,7 @@ def test_bpe_corpus_train_and_segment(ray_session):
     })).repartition(2)
     merges = bpe_train_corpus(ds, num_merges=6, min_pair_count=1)
     assert merges.num_rows >= 4
-    seg = bpe_segment(ds, merges, concurrency=1).to_pandas() \
-        .sort_values("doc_id")
+    seg = bpe_segment(ds, merges).to_pandas().sort_values("doc_id")
     assert len(seg) == 9
     # every doc: 1 <= n_subwords <= n_chars, and n_subwords >= n_words
     assert (seg["n_subwords"] >= seg["n_words"]).all()
@@ -90,6 +89,52 @@ def test_bpe_corpus_train_and_segment(ray_session):
     uw = ["low", "lower"]
     direct = {w: len(s) for w, s in zip(uw, encode_word_types(uw, merges))}
     assert first["n_subwords"] == 2 * direct["low"] + direct["lower"]
+
+
+_TWO_CPU_CHILD = r"""
+import pyarrow as pa
+import ray
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+import ray.data as rd
+rd.DataContext.get_current().enable_progress_bars = False
+from colonnade_ray.functions.bpe import bpe_segment, bpe_train_corpus
+texts = ["low lower low", "newest widest newest", "low newest"] * 3
+ds = rd.from_arrow(pa.table({
+    "doc_id": pa.array(list(range(9)), pa.int64()),
+    "text": pa.array(texts),
+})).repartition(2)
+merges = bpe_train_corpus(ds, num_merges=6, min_pair_count=1)
+print("RESULT", bpe_segment(ds, merges).count())
+ray.shutdown()
+"""
+
+
+def test_bpe_segment_default_pool_two_cpus():
+    """``bpe_segment`` with its default pool finishes on a two-CPU Ray
+    session: no actor pool may wait for more actors than the cluster
+    can place.  Own subprocess and Ray session; the whole process
+    group, raylet included, is killed if it overruns."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    p = subprocess.Popen(
+        [sys.executable, "-c", _TWO_CPU_CHILD],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env, start_new_session=True)
+    try:
+        stdout, stderr = p.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        pytest.fail("bpe_segment did not finish within 120 s on two CPUs")
+    assert p.returncode == 0, stderr[-3000:]
+    assert "RESULT 9" in stdout, stdout[-2000:]
 
 
 def test_bpe_roundtrip_property():

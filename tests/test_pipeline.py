@@ -207,6 +207,40 @@ def test_source_partitioned_encode_one_cpu(tmp_path):
     assert "RESULT 400 True" in stdout, stdout[-2000:]
 
 
+def test_no_op_takes_a_concurrency_parameter():
+    """Parallelism is decided in one place (``util.default_concurrency``):
+    no public callable of the pipelines, functions or sources modules
+    (nor ``tokenized_documents``) takes a per-call ``concurrency``
+    knob."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import colonnade_ray.functions
+    import colonnade_ray.pipelines
+    import colonnade_ray.sources
+
+    mods = [importlib.import_module("colonnade_ray.corpus")]
+    for pkg in (colonnade_ray.pipelines, colonnade_ray.functions,
+                colonnade_ray.sources):
+        mods += [importlib.import_module(f"{pkg.__name__}.{info.name}")
+                 for info in pkgutil.iter_modules(pkg.__path__)]
+    found = {f"{mod.__name__}.{n}": f
+             for mod in mods for n, f in vars(mod).items()
+             if callable(f) and not n.startswith("_")
+             and getattr(f, "__module__", None) == mod.__name__}
+    bad = []
+    for name, f in found.items():
+        try:
+            params = inspect.signature(f).parameters
+        except (TypeError, ValueError):
+            continue
+        if "concurrency" in params:
+            bad.append(name)
+    assert len(found) > 100
+    assert bad == []
+
+
 def test_checksum_detects_corruption(corpus_dir, tmp_path, ray_session):
     from colonnade_ray.errors import ChecksumError
     from colonnade_ray.stages.decode import decode_chunk_row

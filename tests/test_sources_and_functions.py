@@ -1548,14 +1548,15 @@ def test_lsh_verified_near_dups_sharded_multiblock(ray_session):
     assert not hasattr(sim, "CosineVerifyPairs")
 
 
-def test_cosine_pairs_blocked_and_candidate_volume_guard(ray_session):
+def test_cosine_pairs_blocked_and_candidate_volume_guard(ray_session,
+                                                         monkeypatch):
     """Round-4 scale fix: at low cos thresholds recall-1 sign-LSH
     bands are the quadratic scan in disguise (candidate rows ~
     bands * n^2 / 4^bits — 30+ min at 20k vectors vs 37 s blocked).
     cosine_pairs_blocked must equal the exact pair set across many
     spilled blocks (cross-block pairs + same-block triangle both
     exercised), the candidate-volume estimator must be exact, and
-    lsh_verified_near_dups' auto route must detect a blown budget and
+    lsh_verified_near_dups' volume guard must detect a blown budget and
     return the same exact set via the blocked path."""
     import pandas as pd
     import ray.data as rd
@@ -1601,11 +1602,11 @@ def test_cosine_pairs_blocked_and_candidate_volume_guard(ray_session):
     got_vol = sim._estimate_candidate_rows(exploded)
     assert got_vol == want
 
+    monkeypatch.setattr(sim, "CANDIDATE_ROW_BUDGET", 1)
     guarded = sorted(
         (r["id_a"], r["id_b"])
         for r in sim.lsh_verified_near_dups(
-            ds, 0.95, bands=64, bits_per_band=2,
-            candidate_row_budget=1).take_all()
+            ds, 0.95, bands=64, bits_per_band=2).take_all()
     )
     assert guarded == exact
 
@@ -2130,13 +2131,14 @@ def test_cube_counts_full_lattice(ray_session):
     assert len(out) == 4 + 2 + 3 + 1  # fine + source + lang + grand
 
 
-def test_rollup_cube_distributed_lattice_guard(ray_session):
-    """Above max_driver_groups the lattice is derived by a second
+def test_rollup_cube_distributed_lattice_guard(ray_session, monkeypatch):
+    """Above MAX_DRIVER_GROUPS the lattice is derived by a second
     round of DISTRIBUTED aggregates over the materialized fine result
     (a Dataset comes back, nothing lattice-sized lands on the driver)
     and the rows are identical to the driver path."""
     import ray.data as rd
 
+    from colonnade_ray.functions import relational
     from colonnade_ray.functions.relational import cube_counts, rollup_counts
 
     rng = np.random.default_rng(7)
@@ -2149,7 +2151,9 @@ def test_rollup_cube_distributed_lattice_guard(ray_session):
     for fn in (rollup_counts, cube_counts):
         small = fn(docs, ["source", "lang"])          # driver path
         assert isinstance(small, pd.DataFrame)
-        big = fn(docs, ["source", "lang"], max_driver_groups=10)
+        with monkeypatch.context() as m:
+            m.setattr(relational, "MAX_DRIVER_GROUPS", 10)
+            big = fn(docs, ["source", "lang"])
         assert not isinstance(big, pd.DataFrame)      # distributed path
         got = big.to_pandas().sort_values(["source", "lang", "n"],
                                           kind="mergesort") \
