@@ -1252,7 +1252,7 @@ def q_merge_rows_upsert(sf_dir: str):
     os.makedirs(bdir, exist_ok=True)
     bp = os.path.join(bdir, "batch-0.parquet")
     pq.write_table(batch, bp)
-    merge_rows(out, bp, key="doc_id", batch_size=512)
+    merge_rows(out, bp, key="doc_id")
 
     agg = decode_corpus(out, columns=["source", "n_chars"]) \
         .groupby("source").aggregate(Count(), Sum("n_chars")) \
@@ -1308,7 +1308,7 @@ def q_cdc_apply_changes(sf_dir: str):
     os.makedirs(bdir, exist_ok=True)
     bp = os.path.join(bdir, "changes-0.parquet")
     pq.write_table(batch, bp)
-    apply_changes(out, bp, key="doc_id", batch_size=512)
+    apply_changes(out, bp, key="doc_id")
 
     agg = decode_corpus(out, columns=["source", "n_chars"]) \
         .groupby("source").aggregate(Count(), Sum("n_chars")) \

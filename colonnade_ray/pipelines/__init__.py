@@ -1,3 +1,4 @@
+from ..stages.encode import EncodeSpec
 from .encode_pipeline import (
     active_groups,
     compact_corpus,

@@ -306,9 +306,9 @@ class _ReencodeChunks:
     typically derived from ``decode()``, the chunk's verified full
     decode — replaces its rows, re-encoded under the chunk's own plan,
     the corpus's pinned shared dictionaries (so rewritten chunks stay
-    byte-compatible with untouched ones) and its recorded sketch
-    config (a stale bloom/HLL must never survive a rewrite); an empty
-    table drops the chunk."""
+    byte-compatible with untouched ones) and the sketches of its
+    recorded ``EncodeSpec`` (a stale bloom/HLL must never survive a
+    rewrite); an empty table drops the chunk."""
 
     def __init__(self, out_dir: str, edit):
         self.out_dir = out_dir
@@ -318,12 +318,12 @@ class _ReencodeChunks:
         from ..codecs.shared_dict import register_dir
         from ..plan import CodecPlan, bind_plan
         from ..stages.decode import decode_chunk_row
-        from ..stages.encode import encode_chunk
-        from .encode_pipeline import load_pinned_dicts, sketch_cols
+        from ..stages.encode import EncodeSpec, encode_chunk
+        from .encode_pipeline import load_encode_spec, load_pinned_dicts
 
         register_dir(self.out_dir)
         shared = load_pinned_dicts(self.out_dir)
-        sk = sketch_cols(self.out_dir)
+        spec = load_encode_spec(self.out_dir) or EncodeSpec()
         names = batch.column_names
         out_tables = []
         for r in range(len(batch)):
@@ -339,12 +339,8 @@ class _ReencodeChunks:
             if t.num_rows == 0:
                 continue
             plan = CodecPlan.by_name(*json.loads(batch["plan_json"][r].as_py()))
-            enc = encode_chunk(t, bind_plan(plan, t.schema), fragment=frag,
-                               shared_dicts=shared,
-                               bloom_cols=sk.get("bloom_cols"),
-                               hll_cols=sk.get("hll_cols"),
-                               quantile_cols=sk.get("quantile_cols"),
-                               quantile_k=int(sk.get("quantile_k", 256)))
+            enc = encode_chunk(t, bind_plan(plan, t.schema), spec,
+                               fragment=frag, shared_dicts=shared)
             # force the INPUT's column order so blocks concat cleanly
             out_tables.append(pa.table(enc).select(names))
         return pa.concat_tables(out_tables) if out_tables \

@@ -7,11 +7,13 @@ once per stream ≙ manifest once per partition; row-coordinate errors
 ≙ lineage records):
 
     read_parquet(fragments, include_paths=True)
+      -> map_batches(prep) [-> cluster sort]
       -> [optional groupby-on-source + size-aware shuffle]
       -> map_batches(encode_batch, batch_format="pyarrow")
                                               # stateless tasks, fused
-                                              #   into the read when
-                                              #   there is no shuffle
+                                              #   with the prep map and
+                                              #   the write, not with
+                                              #   the read
       -> write_parquet(out/data/group=G)      # uncompressed parquet:
                                               #   payload columns carry
                                               #   OUR compression
@@ -28,13 +30,14 @@ import hashlib
 import json
 import os
 import shutil
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..stages.encode import encode_batch
+from ..stages.encode import EncodeSpec, encode_batch
 from ..stages.skew import (
     DEFAULT_TOKEN_BUDGET,
     PKEY,
@@ -50,7 +53,6 @@ LINEAGE_COLS = [
     "bytes_in", "bytes_out", "checksum", "codecs_json",
     "plan_json", "stats_json",  # column plan + zone maps in the manifest
 ]
-DEFAULT_BATCH_SIZE = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +160,7 @@ def train_shared_dicts(
                         "file": os.path.relpath(sd.path, out_dir),
                         "sampled_values": n_sampled}
     # manifest is the pin: written only after every table is on disk
-    tmp = manifest + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(entries, f, indent=1, sort_keys=True)
-    os.replace(tmp, manifest)
+    _write_json(manifest, entries, indent=1, sort_keys=True)
     return out
 
 
@@ -233,29 +232,30 @@ def shared_dict_bytes(out_dir: str) -> int:
 
 def encode_dataset(
     ds,
+    spec: EncodeSpec = EncodeSpec(),
+    *,
     plan_names: Optional[Sequence[str]] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     transport: Optional[dict] = None,
     fragments: Optional[Sequence[str]] = None,
-    post_compress: Optional[str] = None,
     shared_dicts=None,
-    bloom_cols: Optional[Sequence[str]] = None,
-    hll_cols: Optional[Sequence[str]] = None,
-    quantile_cols: Optional[Sequence[str]] = None,
-    quantile_k: int = 256,
 ):
-    """Dataset of raw rows -> Dataset of encoded chunk rows (lazy).
+    """Dataset of raw rows -> Dataset of encoded chunk rows (lazy),
+    ``spec.batch_size`` rows per chunk with the sketches ``spec``
+    names.
 
-    One stateless ``encode_batch`` map: with no exchange upstream it
-    fuses into the read task (read -> prep -> encode -> write is one
-    task per read block); after the skew shuffle it runs as plain
-    tasks over the sorted blocks.  Either way a chunk's bytes depend
-    only on its rows.
+    One stateless ``encode_batch`` map.  Ray fuses it with the map
+    before it and the write after it, but not with the read: the
+    logged plan of ``encode_corpus`` is ``ReadParquet ->
+    [MapBatches(<lambda>)->MapBatches(_encode)->Write]``.  After the
+    skew shuffle it runs as plain tasks over the sorted blocks.  Either
+    way a chunk's bytes depend only on its rows.
 
     ``transport``: spec from ``stages.transport.list_transport_spec``
     when the upstream stage packed list columns for the exchange; the
     encoder widens them back before encoding (bit-transparent).
+    ``shared_dicts``: the trained tables, not ``spec.shared_dicts``.
     """
+    plan_names = list(plan_names) if plan_names else None
     frag_names = list(fragments) if fragments else None
 
     def _encode(b: pa.Table) -> dict:
@@ -263,19 +263,13 @@ def encode_dataset(
             from ..stages.transport import unpack_list_columns
 
             b = unpack_list_columns(b, transport)
-        return encode_batch(
-            b, list(plan_names) if plan_names else None, frag_names,
-            post_compress=post_compress, shared_dicts=shared_dicts,
-            bloom_cols=list(bloom_cols) if bloom_cols else None,
-            hll_cols=list(hll_cols) if hll_cols else None,
-            quantile_cols=list(quantile_cols) if quantile_cols else None,
-            quantile_k=quantile_k,
-        )
+        return encode_batch(b, spec, plan_names=plan_names,
+                            fragments=frag_names, shared_dicts=shared_dicts)
 
     return ds.map_batches(
         _encode,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=spec.batch_size,
         zero_copy_batch=True,
     )
 
@@ -356,8 +350,8 @@ def _zorder_sort(t: pa.Table, cols: Sequence[str], bits: int = 16) -> pa.Table:
     that are narrow on EVERY clustered column at once, so
     count_where / aggregate_where / selective decode prune on any of
     them — the multi-predicate generalization of the single-column
-    ``cluster_by`` (same zero-exchange contract: the sort fuses into
-    the read task; a global Z-order would be an all-to-all and is
+    ``cluster_by`` (same zero-exchange contract: the sort runs per read
+    block; a global Z-order would be an all-to-all and is
     deliberately not this knob)."""
     import numpy as np
 
@@ -423,7 +417,7 @@ def encode_corpus(
     inputs,
     out_dir: str,
     plan_names: Optional[Sequence[str]] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    batch_size: Optional[int] = None,
     partition_by: Optional[str] = None,   # "source" enables the skew shuffle
     token_budget: int = DEFAULT_TOKEN_BUDGET,
     group_size: Optional[int] = None,     # fragments per commit group; None = one group
@@ -431,20 +425,23 @@ def encode_corpus(
     max_concurrent_groups: int = 1,
     transport: bool = True,
     append: bool = False,
-    post_compress: Optional[str] = None,
     cluster_by: Optional[str | Sequence[str]] = None,  # list => Z-order
-    shared_dicts: bool = True,
+    shared_dicts: Optional[bool] = None,
     bloom_cols: Optional[Sequence[str] | str] = "auto",
     hll_cols: Optional[Sequence[str]] = None,
     quantile_cols: Optional[Sequence[str]] = None,
-    quantile_k: int = 256,
+    quantile_k: Optional[int] = None,
 ) -> dict:
     """Encode a parquet corpus to out_dir with lineage + exact resume.
 
-    ``shared_dicts``: run the deterministic dictionary pre-pass
-    (``train_shared_dicts``) and broadcast the tables into every
-    encode task — chunks then store ranks + extras instead of a
-    per-chunk dictionary (codecs/shared_dict.py).
+    The layout options ``batch_size`` … ``quantile_k`` form the
+    corpus's ``EncodeSpec``, recorded by a fresh encode (unset ones take
+    the ``EncodeSpec`` defaults; ``bloom_cols="auto"`` picks
+    ``_auto_bloom_cols``).  A continuing encode (``append``, or
+    ``resume`` with committed groups) reads it back: an option left
+    unset takes the recorded value, one set to another value raises
+    ``ValueError``.  ``shared_dicts`` runs the deterministic dictionary
+    pre-pass (``train_shared_dicts``; codecs/shared_dict.py).
 
     Groups are independent pipelines (own read -> shuffle -> encode ->
     write -> commit marker); ``max_concurrent_groups > 1`` runs them
@@ -457,31 +454,40 @@ def encode_corpus(
     import ray.data as rd
 
     files = _list_input_files(inputs)
-    # bloom default (round-5 A/B in BASELINE.md): on a CLUSTERED
-    # layout the non-cluster columns' zone bands widen to block range
-    # — exactly when a point lookup needs the Bloom filter (measured
-    # 9 -> 3 may-match chunks at ~0.1% disk, encode wall unchanged).
-    # "auto" = the leading id-like (string/int) non-cluster column
-    # when cluster_by is set; unclustered layouts keep bands narrow
-    # on the natural order and stay bloom-free by default.
-    if isinstance(bloom_cols, str):
-        if bloom_cols != "auto":
-            raise ValueError(
-                f"bloom_cols must be a list of columns, None, or "
-                f"'auto' — got {bloom_cols!r}")
-        bloom_cols = (_auto_bloom_cols(files, cluster_by)
-                      if cluster_by is not None and files else None)
     data_root = os.path.join(out_dir, "data")
     lin_root = os.path.join(out_dir, "_lineage")
     os.makedirs(data_root, exist_ok=True)
     os.makedirs(lin_root, exist_ok=True)
-    # Fresh encode (not append, no committed groups to resume) REPLACES
-    # the sketch config; append / resume unions so already-committed
-    # groups keep their recorded sketches honored.
-    _continuing = append or (resume and bool(completed_groups(out_dir)))
-    record_sketch_cols(out_dir, bloom_cols, hll_cols,
-                       quantile_cols=quantile_cols,
-                       quantile_k=quantile_k, union=_continuing)
+    given = {k: v for k, v in (("batch_size", batch_size),
+                               ("cluster_by", cluster_by),
+                               ("shared_dicts", shared_dicts),
+                               ("hll_cols", hll_cols),
+                               ("quantile_cols", quantile_cols),
+                               ("quantile_k", quantile_k)) if v is not None}
+    if bloom_cols != "auto":
+        given["bloom_cols"] = bloom_cols
+    continuing = append or (resume and bool(completed_groups(out_dir)))
+    spec = load_encode_spec(out_dir) if continuing else None
+    if spec is None:
+        if bloom_cols == "auto":
+            # bloom default (round-5 A/B in BASELINE.md): on a CLUSTERED
+            # layout the non-cluster columns' zone bands widen to block
+            # range — exactly when a point lookup needs the Bloom filter
+            # (measured 9 -> 3 may-match chunks at ~0.1% disk, encode
+            # wall unchanged); unclustered layouts keep bands narrow on
+            # the natural order and stay bloom-free.
+            given["bloom_cols"] = (_auto_bloom_cols(files, cluster_by)
+                                   if cluster_by is not None and files
+                                   else None)
+        spec = EncodeSpec(**given)
+        _record_encode_spec(out_dir, spec)
+    else:
+        asked = asdict(replace(spec, **given))
+        for name, was in asdict(spec).items():
+            if asked[name] != was:
+                raise ValueError(
+                    f"{name}={asked[name]!r} differs from {was!r}, "
+                    f"recorded in {out_dir}/_meta/encode_spec.json")
 
     if append:
         # Incremental corpus growth: encode ONLY input files no
@@ -501,7 +507,7 @@ def encode_corpus(
     # reloads the identical tables.  Broadcast once via ray.put —
     # every encode task reads it plasma-local, never re-shipped.
     sd_ref = None
-    if shared_dicts:
+    if spec.shared_dicts:
         import ray
 
         sd_map = train_shared_dicts(files, out_dir)
@@ -561,62 +567,49 @@ def encode_corpus(
             )
         ds = rd.read_parquet(g, include_paths=True, override_num_blocks=nblocks)
         # Transport narrowing: pack integer list columns to their
-        # footer-proven minimal width BEFORE anything leaves the read
-        # task (the pack map fuses into ReadParquet), so every
-        # object-store / shuffle hop moves the narrow form; the encoder
-        # task widens back.  Halves exchange bytes on 16-bit vocabs.
-        spec = (
+        # footer-proven minimal width in the first map after the read,
+        # so every shuffle hop moves the narrow form; the encoder task
+        # widens back.  Halves exchange bytes on 16-bit vocabs.
+        tspec = (
             list_transport_spec(g)
             if transport and plan_names is None  # explicit plans may rename/retype
             else {}
         )
-        # One fused prep map (runs inside the read task): transport
-        # narrowing + path string -> int32 fragment ordinal, so the
-        # exchange never carries a ~50 B/row path column just to label
-        # lineage.
+        # One prep map (Ray fuses it with the encode and the write, not
+        # with the read): transport narrowing + path string -> int32
+        # fragment ordinal, so the exchange never carries a ~50 B/row
+        # path column just to label lineage.
         frag_names = [os.path.basename(f) for f in g]
         frag_idx = {f: i for i, f in enumerate(g)}
         ds = ds.map_batches(
-            lambda b: _prep_batch(b, spec, frag_idx),
+            lambda b: _prep_batch(b, tspec, frag_idx),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        if cluster_by is not None:
+        if spec.cluster_by is not None:
             # Block-local clustering: sort each READ BLOCK by the
             # column before batch_size slices it into chunks — zero
-            # exchange (the sort fuses into the read task), but every
-            # chunk's zone band narrows to a block-local value range,
-            # which is what makes count_where / aggregate_where /
-            # selective decode prove most chunks from metadata.  The
+            # exchange (the sort runs in the map after the read), but
+            # every chunk's zone band narrows to a block-local value
+            # range, which is what makes count_where / aggregate_where
+            # / selective decode prove most chunks from metadata.  The
             # classic zone-map layout lever (file-local ORDER BY);
             # a GLOBAL sort would be an all-to-all — deliberately not
-            # this knob.  A list of column NAMES Z-orders (Morton
+            # this knob.  A tuple of column NAMES Z-orders (Morton
             # interleave of block-local ranks — bands narrow on every
-            # column at once, see _zorder_sort); a list of
-            # (name, "ascending"/"descending") TUPLES sorts
+            # column at once, see _zorder_sort); a tuple of
+            # (name, "ascending"/"descending") pairs sorts
             # lexicographically (pyarrow sort_by form — the layout for
             # hierarchical access like grouped_topk_where, where
             # chunks should be single-GROUP and value-ordered WITHIN
             # the group).
-            if isinstance(cluster_by, str):
-                sort_fn = lambda b: b.sort_by(cluster_by)  # noqa: E731
-            elif all(isinstance(c, (tuple, list)) for c in cluster_by):
-                keys = [tuple(c) for c in cluster_by]
-                sort_fn = lambda b: b.sort_by(keys)  # noqa: E731
-            elif all(isinstance(c, str) for c in cluster_by):
-                zcols = list(cluster_by)
-                sort_fn = lambda b: _zorder_sort(b, zcols)  # noqa: E731
+            cb = spec.cluster_by
+            if isinstance(cb, str):
+                sort_fn = lambda b: b.sort_by(cb)  # noqa: E731
+            elif isinstance(cb[0], tuple):
+                sort_fn = lambda b: b.sort_by(list(cb))  # noqa: E731
             else:
-                # Mixed forms would reach _zorder_sort with a tuple as
-                # a column name and die in an opaque KeyError — reject
-                # up front, naming the offender.
-                bad = next(c for c in cluster_by
-                           if not isinstance(c, str))
-                raise ValueError(
-                    "cluster_by must be a column name, a list of column"
-                    " names (Z-order), or a list of (name, order)"
-                    f" tuples (lexicographic) — got mixed entry {bad!r}"
-                    f" in {list(cluster_by)!r}")
+                sort_fn = lambda b: _zorder_sort(b, cb)  # noqa: E731
             ds = ds.map_batches(
                 sort_fn,
                 batch_format="pyarrow", batch_size=None,
@@ -626,19 +619,17 @@ def encode_corpus(
             totals = source_token_totals(g)
             ds = partition_by_source(ds, salt_counts(totals, token_budget))
             ds = ds.drop_columns([PKEY])
-        # Stateless tasks on every path: without an exchange the whole
-        # chain read -> prep -> encode -> write fuses into ONE task per
-        # read block — no actor pool to starve behind read/write tasks,
-        # no object-store hop for the raw rows, elastic scheduling.
+        # Stateless tasks on every path: no actor pool to starve
+        # behind read/write tasks, elastic scheduling.  Ray runs the
+        # read as its own operator and fuses prep -> encode -> write
+        # (see encode_dataset), so each raw block crosses the object
+        # store once.
         # Measured on 8 pinned vCPUs the raw kernel runs 72M tok/s
         # 6-way while an actor-pool encode read 32M: the pool was the
         # bottleneck, not the codec.
         enc = encode_dataset(
-            ds, plan_names, batch_size,
-            transport=spec or None, fragments=frag_names,
-            post_compress=post_compress, shared_dicts=sd_ref,
-            bloom_cols=bloom_cols, hll_cols=hll_cols,
-            quantile_cols=quantile_cols, quantile_k=quantile_k,
+            ds, spec, plan_names=plan_names, transport=tspec or None,
+            fragments=frag_names, shared_dicts=sd_ref,
         )
         enc.write_parquet(gdir, compression="none", row_group_size=1)
         # input-file sidecar first (append mode reads it), THEN the
@@ -688,64 +679,32 @@ def _auto_bloom_cols(files, cluster_by) -> Optional[list]:
     return None
 
 
-def record_sketch_cols(out_dir: str, bloom_cols, hll_cols,
-                       quantile_cols=None, quantile_k: int = 256,
-                       union: bool = True) -> None:
-    """Persist which columns carry per-chunk Bloom / HLL sketches so
-    lifecycle REWRITES (vacuum, update_where) can re-derive them for
-    the chunks they re-encode instead of silently dropping them —
-    pruning quality then survives the lifecycle instead of decaying.
-    Advisory config (tmp+rename; a crash that loses it only degrades
-    to the old conservative drop-the-sketch behavior).
-
-    ``union=True`` merges into any existing config (append / resume of
-    an in-flight encode — groups already committed with the old
-    sketches stay honored).  ``union=False`` REPLACES the config with
-    exactly the requested columns — the fresh-encode path, so a reused
-    out_dir or a dropped sketch column doesn't leave stale config that
-    every future vacuum/update rewrite keeps paying for."""
-    cur = sketch_cols(out_dir)
-    if union:
-        new = {"bloom_cols": sorted(set(cur.get("bloom_cols", []))
-                                    | set(bloom_cols or [])),
-               "hll_cols": sorted(set(cur.get("hll_cols", []))
-                                  | set(hll_cols or [])),
-               "quantile_cols": sorted(set(cur.get("quantile_cols", []))
-                                       | set(quantile_cols or [])),
-               "quantile_k": max(int(cur.get("quantile_k", 0)),
-                                 int(quantile_k))}
-    else:
-        new = {"bloom_cols": sorted(set(bloom_cols or [])),
-               "hll_cols": sorted(set(hll_cols or [])),
-               "quantile_cols": sorted(set(quantile_cols or [])),
-               "quantile_k": int(quantile_k)}
-    if not new["quantile_cols"]:
-        new.pop("quantile_cols")
-        new.pop("quantile_k")
-    path = os.path.join(_meta_root(out_dir), "sketch_cols.json")
-    if not new.get("bloom_cols") and not new.get("hll_cols") \
-            and not new.get("quantile_cols"):
-        if not union and cur:
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
-        return
-    if new == cur:
-        return
+def _write_json(path: str, obj, **kw) -> None:
+    """Write ``obj`` as JSON by tmp+rename: a reader sees the old file
+    or the new one, never a torn one."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(new, fh)
+        json.dump(obj, fh, **kw)
     os.replace(tmp, path)
 
 
-def sketch_cols(out_dir: str) -> dict:
-    path = os.path.join(out_dir, "_meta", "sketch_cols.json")
+def _record_encode_spec(out_dir: str, spec: EncodeSpec) -> None:
+    """Record ``spec`` as the corpus's encode spec.  A fresh encode
+    calls it before any group commits (the shared-dict manifest's
+    rule), so a committed group always has its spec beside it."""
+    _write_json(os.path.join(_meta_root(out_dir), "encode_spec.json"),
+                asdict(spec), sort_keys=True)
+
+
+def load_encode_spec(out_dir: str) -> Optional[EncodeSpec]:
+    """The corpus's recorded ``EncodeSpec``, or None when none was
+    recorded.  A pure file read, safe inside worker UDFs (the lifecycle
+    rewriters re-derive sketches from it)."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return {}
+        with open(os.path.join(out_dir, "_meta", "encode_spec.json")) as fh:
+            return EncodeSpec(**json.load(fh))
+    except FileNotFoundError:
+        return None
 
 
 _LIN_CACHE: dict = {}
@@ -1147,8 +1106,8 @@ def sweep_orphans(out_dir: str) -> dict:
                         os.remove(os.path.join(meta, f))
                         removed["meta_sidecars"] += 1
     # stray atomic-commit temporaries (_commit_lineage crashed between
-    # the parquet write and the rename; ditto the advisory
-    # sketch_cols.json config write)
+    # the parquet write and the rename; ditto the encode_spec.json
+    # write)
     if os.path.isdir(lin_root):
         for f in sorted(os.listdir(lin_root)):
             if f.endswith(".parquet.tmp"):

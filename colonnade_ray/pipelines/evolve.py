@@ -71,12 +71,17 @@ class _AugmentChunks:
         self.new_names = list(new_names)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..codecs.columns import encode_column
         from ..codecs.shared_dict import register_dir
         from ..stages.decode import decode_chunk_row
-        from ..stages.encode import _codec_of, add_zone_stats, chunk_identity
+        from ..stages.encode import (
+            EncodeSpec,
+            chunk_identity,
+            encode_chunk_column,
+        )
+        from .encode_pipeline import load_encode_spec
 
         register_dir(self.out_dir)
+        spec = load_encode_spec(self.out_dir) or EncodeSpec()
 
         names_in = batch.column_names
         out_rows = []
@@ -94,30 +99,21 @@ class _AugmentChunks:
                     f"fn returned columns {sorted(new)}, probe saw "
                     f"{sorted(self.new_names)} — fn must be "
                     "schema-deterministic")
-            stats = json.loads(row["stats_json"]) if row.get("stats_json") \
-                else {"__nulls__": {}, "__sums__": {}}
-            stats.setdefault("__nulls__", {})
-            stats.setdefault("__sums__", {})
+            stats = {"__nulls__": {}, "__sums__": {}} | json.loads(
+                row.get("stats_json") or "{}")
             codecs = json.loads(row["codecs_json"])
-            k = len(plan)
             new_bytes = 0
-            for name in self.new_names:
+            for k, name in enumerate(self.new_names, start=len(plan)):
                 arr = _normalize_new(name, new[name], t.num_rows)
-                payload, meta = encode_column(arr)
-                meta["name"] = name
-                meta["ck"] = hashlib.blake2b(
-                    payload, digest_size=8).hexdigest()
-                add_zone_stats(stats, name, arr)
-                mjson = json.dumps(meta, separators=(",", ":"))
-                row[f"col{k}_payload"] = payload
-                row[f"col{k}_meta"] = mjson
+                payload, mjson, summary = encode_chunk_column(
+                    arr, name, stats, spec)
+                row[f"col{k}_payload"], row[f"col{k}_meta"] = payload, mjson
                 plan.append(name)
-                codecs.append(_codec_of(meta))
+                codecs.append(summary)
                 new_bytes += len(payload) + len(mjson)
-                k += 1
             checksum, chunk_id = chunk_identity(
-                [row[f"col{i}_payload"] for i in range(k)],
-                [row[f"col{i}_meta"] for i in range(k)])
+                [row[f"col{i}_payload"] for i in range(len(plan))],
+                [row[f"col{i}_meta"] for i in range(len(plan))])
             row["plan_json"] = json.dumps(plan)
             row["codecs_json"] = json.dumps(codecs)
             row["stats_json"] = json.dumps(stats, separators=(",", ":"),
@@ -126,13 +122,10 @@ class _AugmentChunks:
             row["checksum"] = checksum
             row["chunk_id"] = chunk_id
             out_rows.append(row)
-        cols = list(names_in)
         # column order: original order, then the appended colN pairs
-        extra = [c for c in out_rows[0] if c not in names_in] \
-            if out_rows else []
-        cols += sorted(extra)
-        data = {c: [row.get(c) for row in out_rows] for c in cols}
-        return pa.table(data)
+        cols = list(names_in) + sorted(
+            c for c in (out_rows[0] if out_rows else ()) if c not in names_in)
+        return pa.table({c: [row.get(c) for row in out_rows] for c in cols})
 
 
 def add_columns(out_dir: str, fn: Callable, input_columns: Sequence[str],
@@ -157,6 +150,7 @@ def add_columns(out_dir: str, fn: Callable, input_columns: Sequence[str],
         _register_dict_dir,
         _rewrite_group,
         _run_groups,
+        _write_json,
         active_groups,
     )
 
@@ -234,10 +228,7 @@ def add_columns(out_dir: str, fn: Callable, input_columns: Sequence[str],
     # half-added columns as a foreign clash and refuse to converge
     merged = sorted(aug_record | set(names))
     if merged != sorted(aug_record):
-        tmp = rec_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(merged, fh)
-        os.replace(tmp, rec_path)
+        _write_json(rec_path, merged)
     _run_groups(_one, todo, max_concurrent_groups)
     return {"augmented_groups": len(todo),
             "skipped_groups": len(groups) - len(todo),
@@ -313,7 +304,7 @@ class _RewriteSchema:
                 bytes_out += len(payload) + len(mjson)
             new_stats = {}
             for k, v in stats.items():
-                if k in ("__nulls__", "__sums__"):
+                if k.startswith("__"):  # per-column maps and sketches
                     new_stats[k] = {
                         self.rename.get(c, c): x for c, x in v.items()
                         if c not in self.drop}
@@ -372,7 +363,48 @@ def _rewrite_schema(out_dir: str, session, rewriter: _RewriteSchema,
                        rewriter, gc=gc, what=f"{tag} group {gid}")
 
     _run_groups(_one, todo, max_concurrent_groups)
+    _evolve_records(out_dir, rewriter)
     return len(todo)
+
+
+def _evolve_records(out_dir: str, rw: _RewriteSchema) -> None:
+    """After every group is rewritten, drop or rename the columns the
+    corpus's records name: the augment provenance record, and the
+    recorded ``EncodeSpec`` — so later appends, merges and rewrites
+    cluster and sketch columns that exist.  Idempotent, so a re-run
+    after a crash converges."""
+    from dataclasses import replace
+
+    from .encode_pipeline import (
+        _record_encode_spec,
+        _write_json,
+        load_encode_spec,
+    )
+
+    def cols(names):
+        return [rw.rename.get(c, c) for c in names if c not in rw.drop]
+
+    rec_path = os.path.join(out_dir, "_meta", "augmented_columns.json")
+    if os.path.exists(rec_path):
+        with open(rec_path) as fh:
+            rec = json.load(fh)
+        _write_json(rec_path, sorted(cols(rec)))
+    spec = load_encode_spec(out_dir)
+    if spec is None:
+        return
+    cb = spec.cluster_by
+    if cb is not None:
+        # a cluster entry is a name or a (name, order) pair
+        kept = [(rw.rename.get(c[0], c[0]), c[1]) if isinstance(c, tuple)
+                else rw.rename.get(c, c)
+                for c in ([cb] if isinstance(cb, str) else cb)
+                if (c[0] if isinstance(c, tuple) else c) not in rw.drop]
+        cb = (kept[0] if isinstance(cb, str) else kept) if kept else None
+    new = replace(spec, cluster_by=cb, bloom_cols=cols(spec.bloom_cols),
+                  hll_cols=cols(spec.hll_cols),
+                  quantile_cols=cols(spec.quantile_cols))
+    if new != spec:
+        _record_encode_spec(out_dir, new)
 
 
 def drop_columns(out_dir: str, names: Sequence[str],
@@ -412,15 +444,6 @@ def drop_columns(out_dir: str, names: Sequence[str],
     done = _rewrite_schema(out_dir, session, _RewriteSchema(drop=names),
                            f"drop:{','.join(sorted(names))}",
                            gc=gc)
-    # keep the augment provenance record consistent
-    rec_path = os.path.join(out_dir, "_meta", "augmented_columns.json")
-    if os.path.exists(rec_path):
-        with open(rec_path) as fh:
-            rec = [n for n in json.load(fh) if n not in set(names)]
-        tmp = rec_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(rec, fh)
-        os.replace(tmp, rec_path)
     return {"rewritten_groups": done, "dropped": names}
 
 
@@ -452,14 +475,6 @@ def rename_columns(out_dir: str, mapping: dict,
                            "rename:" + ",".join(
                                f"{a}>{b}" for a, b in sorted(mapping.items())),
                            gc=gc)
-    rec_path = os.path.join(out_dir, "_meta", "augmented_columns.json")
-    if os.path.exists(rec_path):
-        with open(rec_path) as fh:
-            rec = sorted({mapping.get(n, n) for n in json.load(fh)})
-        tmp = rec_path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(rec, fh)
-        os.replace(tmp, rec_path)
     return {"rewritten_groups": done, "renamed": dict(mapping)}
 
 

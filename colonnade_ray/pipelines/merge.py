@@ -66,13 +66,16 @@ def _already(out_dir: str) -> set:
         os.path.join(out_dir, "_lineage")) else set()
 
 
-def merge_rows(out_dir: str, inputs, key: str,
-               **encode_kwargs) -> dict:
+def merge_rows(out_dir: str, inputs, key: str) -> dict:
     """Upsert the parquet files in ``inputs`` into the encoded corpus
     at ``out_dir``: rows whose ``key`` matches an existing corpus row
     supersede it; new keys append.  The merge batch must be
     key-unique (an upsert with two versions of one key is ambiguous —
     raises ``ValueError``).
+
+    The appended rows are encoded under the corpus's recorded
+    ``EncodeSpec`` (chunk size, clustering, shared dictionaries and
+    sketches), so they share the layout of the rows they join.
 
     Concurrent merges on one corpus SERIALIZE on an op-level mutex
     (``_meta/merge.lock``): with two in-flight upserts of one key,
@@ -85,17 +88,11 @@ def merge_rows(out_dir: str, inputs, key: str,
 
     with commit_lock(out_dir, name="merge",
                      timeout_s=300.0, stale_s=1800.0):
-        return _merge_rows_unlocked(out_dir, inputs, key, **encode_kwargs)
+        return _merge_rows_unlocked(out_dir, inputs, key)
 
 
-def _merge_rows_unlocked(out_dir: str, inputs, key: str,
-                         **encode_kwargs) -> dict:
+def _merge_rows_unlocked(out_dir: str, inputs, key: str) -> dict:
     """Body of ``merge_rows``; caller holds the merge mutex.
-
-    ``encode_kwargs`` pass through to ``encode_corpus`` for the
-    append step (``cluster_by=``, ``bloom_cols=``, ``plan_names=`` …
-    must match how the corpus was built if schema compatibility
-    matters to downstream projected reads).
 
     Returns ``{"appended_rows", "matched_keys", "masked_rows",
     "delete_id"}`` — ``masked_rows`` counts corpus rows the key-delete
@@ -123,7 +120,7 @@ def _merge_rows_unlocked(out_dir: str, inputs, key: str,
     already = _already(out_dir)
     fresh = [f for f in files if f not in already]
     # commit point A: the appended group's lineage marker
-    encode_corpus(files, out_dir, append=True, **encode_kwargs)
+    encode_corpus(files, out_dir, append=True)
 
     # commit point B: mask the superseded versions everywhere EXCEPT
     # the group(s) covering the merge batch itself.  Scope comes from
@@ -139,8 +136,8 @@ def _merge_rows_unlocked(out_dir: str, inputs, key: str,
     }
 
 
-def apply_changes(out_dir: str, inputs, key: str, op_col: str = "op",
-                  **encode_kwargs) -> dict:
+def apply_changes(out_dir: str, inputs, key: str,
+                  op_col: str = "op") -> dict:
     """CDC apply: each row of ``inputs`` carries ``op_col`` with
     ``"upsert"`` (replace-or-insert the row, ``op_col`` stripped) or
     ``"delete"`` (remove the key; the row's other columns are
@@ -203,8 +200,7 @@ def apply_changes(out_dir: str, inputs, key: str, op_col: str = "op",
                 tmp = staged + ".tmp"
                 pq.write_table(ups, tmp)
                 os.replace(tmp, staged)
-            m = _merge_rows_unlocked(out_dir, staged, key=key,
-                                     **encode_kwargs)
+            m = _merge_rows_unlocked(out_dir, staged, key=key)
             res["masked_rows_upsert"] = m["masked_rows"]
         if del_keys:
             d = delete_where(out_dir, (key, "in", del_keys),

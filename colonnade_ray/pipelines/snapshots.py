@@ -16,7 +16,8 @@ facts that make the lifecycle crash-safe in the first place:
   live sidecars stay free to be retired by the next vacuum.
 
 On-disk layout: ``_snapshots/snap-<tag>/manifest.json`` (the commit
-point — the whole directory is staged as ``.tmp`` and renamed) plus a
+point — the whole directory is staged as ``.tmp`` and renamed; it
+holds the group ids, the mask ids and the corpus's ``EncodeSpec``) plus a
 ``_deletes/`` mirror of the then-committed sidecars, in the exact
 live layout so ``load_delete_masks`` reads it unchanged.
 
@@ -60,8 +61,10 @@ def create_snapshot(out_dir: str, tag: str) -> dict:
     mid-create leaves only an ignorable temp dir (re-run converges).
     Raises if ``tag`` already exists (snapshots are immutable —
     drop and re-create to retag)."""
+    from dataclasses import asdict
+
     from .deletes import DELETES_DIR, committed_deletes
-    from .encode_pipeline import active_groups
+    from .encode_pipeline import active_groups, load_encode_spec
 
     from .concurrency import WriterSession
 
@@ -78,6 +81,7 @@ def create_snapshot(out_dir: str, tag: str) -> dict:
     if not groups:
         raise FileNotFoundError(f"no committed encode groups under {out_dir}")
     dels = committed_deletes(out_dir)
+    spec = load_encode_spec(out_dir)
     tmp = final + ".tmp"
     if os.path.isdir(tmp):
         shutil.rmtree(tmp)  # torn create from a previous run
@@ -93,7 +97,8 @@ def create_snapshot(out_dir: str, tag: str) -> dict:
                          os.path.join(droot_dst, f"del-{did}.json"))
     with open(os.path.join(tmp, "manifest.json"), "w") as fh:
         json.dump({"tag": tag, "groups": sorted(groups),
-                   "deletes": sorted(dels)}, fh, indent=1)
+                   "deletes": sorted(dels),
+                   "encode_spec": spec and asdict(spec)}, fh, indent=1)
     # the commit point (generation-checked CAS)
     session.commit(lambda: os.replace(tmp, final),
                    what=f"create_snapshot {tag}")
@@ -153,7 +158,9 @@ def restore_snapshot(out_dir: str, tag: str, gc: bool = True) -> dict:
     not-yet-restored cohorts' rows until the re-run converges
     (deterministic restore gids, torn dirs rebuilt).  Refuses while
     live deletion masks are pending (they key on chunk ids the
-    restore abandons): vacuum or drop them first.
+    restore abandons): vacuum or drop them first.  The snapshot's
+    recorded ``EncodeSpec`` comes back with its groups, so a spec a
+    later rename or drop rewrote names the restored columns again.
 
     ``gc=True`` reclaims the superseded groups (snapshot-pinned ones
     are spared by ``_gc_group`` as always)."""
@@ -162,9 +169,11 @@ def restore_snapshot(out_dir: str, tag: str, gc: bool = True) -> dict:
     import pyarrow.parquet as pq
 
     from .concurrency import WriterSession
+    from ..stages.encode import EncodeSpec
     from .deletes import _DropDeleted, _ReencodeChunks, committed_deletes
     from .encode_pipeline import (
         _group_files,
+        _record_encode_spec,
         _rewrite_group,
         active_groups,
         completed_groups,
@@ -177,6 +186,11 @@ def restore_snapshot(out_dir: str, tag: str, gc: bool = True) -> dict:
         raise ValueError(
             "restore_snapshot with pending live deletion masks would "
             "orphan them: run vacuum_deletes(out_dir) first")
+    if m.get("encode_spec") is not None:
+        # the restored chunks carry the snapshot's column names, so the
+        # spec naming them comes back before any cohort commits (the
+        # re-encode below and every later write read it)
+        _record_encode_spec(out_dir, EncodeSpec(**m["encode_spec"]))
     current = active_groups(out_dir)
     if sorted(current) == sorted(m["groups"]) and not m["deletes"]:
         return {"restored_cohorts": 0, "superseded_groups": 0}

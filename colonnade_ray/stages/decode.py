@@ -427,11 +427,6 @@ def decode_chunk_row(row: dict, verify_checksum: bool = True,
                 raise ChecksumError(row.get("fragment", ""), row.get("chunk_id", ""),
                                     meta["ck"], actual)
         try:
-            if "z" in meta:  # generic post-compression layer (stored-
-                # byte checksums above already verified integrity)
-                zname, orig = meta["z"]
-                payload = pa.Codec(zname).decompress(
-                    payload, decompressed_size=orig, asbytes=True)
             return decode_column(payload, meta, refs=refs)
         except (ValueError, IndexError, KeyError, OSError,
                 pa.lib.ArrowInvalid) as e:

@@ -8,10 +8,13 @@ block*.  Here the unit is a zero-copy Arrow batch and the fold is
 column-wise, vectorized.
 
 ``encode_batch`` is the one encode stage: a stateless
-``map_batches`` task, fused into the read task when no shuffle
-precedes it.  Chunk bytes are a function of the chunk's rows and the
-pinned shared dictionaries only — FSST symbol tables are trained on a
-sample of each chunk (FSST, VLDB 2020), never carried across batches.
+``map_batches`` task.  Ray fuses it with the prep map before it and
+the write after it, but not with the read:
+``ReadParquet -> [MapBatches(<lambda>)->MapBatches(_encode)->Write]``.
+Chunk bytes are a function of the chunk's rows, the corpus's
+``EncodeSpec`` and the pinned shared dictionaries only — FSST symbol
+tables are trained on a sample of each chunk (FSST, VLDB 2020), never
+carried across batches.
 
 Output layout (one row per input chunk):
   fragment, chunk_id, n_rows, n_tokens, bytes_in, bytes_out,
@@ -24,17 +27,62 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import pyarrow as pa
 
 from ..codecs import encode_column
 from ..plan import BoundPlan, CodecPlan, bind_plan
+from .bloomzone import build_bloom, build_hll, build_quant
 
 PATH_COL = "path"          # emitted by read_parquet(include_paths=True)
 SYS_PREFIX = "__cr_"
 FRAG_COL = SYS_PREFIX + "frag"  # int32 fragment ordinal (exchange-cheap
                                 # replacement for the per-row path string)
+
+
+@dataclass(frozen=True)
+class EncodeSpec:
+    """Everything that shapes a corpus's chunk layout and sketches —
+    the reference's ``Colonnade``, built once and folded over every
+    row (colonnade/src/Colonnade/Encode.hs:530-569).  A fresh encode
+    records it in ``_meta/encode_spec.json``, and every later write of
+    the corpus (append, resume, merge, the lifecycle rewrites) reads it
+    back.  ``cluster_by`` is a column, a tuple of columns (Z-order) or
+    a tuple of (column, order) pairs; the sketch column sets are sorted
+    tuples, so equal specs compare and serialize equal.  ``shared_dicts``
+    is read only by ``encode_corpus``'s pre-pass: the layers below take
+    the trained tables as their own ``shared_dicts=`` keyword."""
+
+    batch_size: int = 8192
+    cluster_by: Optional[str | tuple] = None
+    shared_dicts: bool = True
+    bloom_cols: tuple = ()
+    hll_cols: tuple = ()
+    quantile_cols: tuple = ()
+    quantile_k: int = 256
+
+    def __post_init__(self):
+        cb = self.cluster_by
+        if cb is not None and not isinstance(cb, str):
+            cb = tuple(tuple(c) if isinstance(c, (tuple, list)) else c
+                       for c in cb) or None
+            kinds = {isinstance(c, str) for c in cb or ()}
+            if len(kinds) > 1:
+                # mixed forms would reach the Z-order sort with a tuple
+                # as a column name and die in an opaque KeyError
+                raise ValueError(
+                    "cluster_by must be a column name, a list of column"
+                    " names (Z-order), or a list of (name, order)"
+                    f" tuples (lexicographic) — got {list(cb)!r}")
+            object.__setattr__(self, "cluster_by", cb)
+        for name in ("bloom_cols", "hll_cols", "quantile_cols"):
+            cols = getattr(self, name)
+            if isinstance(cols, str):
+                raise ValueError(f"{name} must be a list of columns or "
+                                 f"None — got {cols!r}")
+            object.__setattr__(self, name, tuple(sorted(set(cols or ()))))
 
 
 def _fragment_of(batch: pa.Table, fragments: Optional[list] = None) -> str:
@@ -181,98 +229,75 @@ def _lengths_ref_hints(batch: pa.Table, bound: BoundPlan) -> dict:
 def encode_chunk(
     batch: pa.Table,
     bound: BoundPlan,
+    spec: EncodeSpec = EncodeSpec(),
     *,
     fragment: str = "",
-    post_compress: Optional[str] = None,
     shared_dicts: Optional[dict] = None,
-    bloom_cols: Optional[Sequence[str]] = None,
-    hll_cols: Optional[Sequence[str]] = None,
-    quantile_cols: Optional[Sequence[str]] = None,
-    quantile_k: int = 256,
 ) -> dict:
     """Encode one Arrow chunk under a bound plan -> dict of columns
-    for a one-row encoded table.
-
-    ``post_compress`` ("zstd"/"lz4"): squeeze each column payload with
-    a generic codec AFTER the lightweight encode (the parquet layering
-    model) — taken per column only when it actually shrinks, recorded
-    in meta["z"], transparent at decode.  All checksums cover the
-    STORED bytes.
+    for a one-row encoded table, with the sketches ``spec`` names.
 
     ``shared_dicts``: column name -> ``SharedIntDict`` — corpus-global
     dictionaries from the encode pre-pass (codecs/shared_dict.py); each
     column's int value stream may encode against its entry, storing
     ranks + extras instead of a per-chunk dictionary."""
-    n_rows = len(batch)
-    out: dict = {}
-    payload_parts: list = []
-    codec_summary: list = []
     lengths_refs = _lengths_ref_hints(batch, bound)
     # "__nulls__" is ALWAYS present in new chunks (even when empty):
     # its presence marks the stats format that can PROVE a zero null
     # count, which chunk_all_match's COUNT-pushdown fast path needs —
     # absence means an old chunk where all-match is unprovable.
     stats: dict = {"__nulls__": {}, "__sums__": {}}
-    bytes_in = 0
-    zcodec = pa.Codec(post_compress) if post_compress else None
-    for i, bc in enumerate(bound.columns):
-        arr = batch.column(bc.index)
-        bytes_in += arr.nbytes
-        payload, meta = encode_column(arr, forced=bc.plan.forced_codec,
-                                      shared_int=(shared_dicts or {}).get(bc.field.name),
-                                      lengths_ref=lengths_refs.get(bc.field.name))
-        if zcodec is not None and len(payload) > 64:
-            comp = memoryview(zcodec.compress(payload, asbytes=True))
-            if len(comp) < len(payload):
-                meta["z"] = [post_compress, len(payload)]
-                payload = bytes(comp)
-        meta["name"] = bc.field.name
-        # per-column checksum: lets PROJECTED decodes (subset of
-        # columns) verify integrity without every payload
-        meta["ck"] = hashlib.blake2b(payload, digest_size=8).hexdigest()
-        if bloom_cols and bc.field.name in bloom_cols:
-            from .bloomzone import build_bloom
-
-            be = build_bloom(arr)
-            if be is not None:
-                stats.setdefault("__bloom__", {})[bc.field.name] = be
-        if hll_cols and bc.field.name in hll_cols:
-            from .bloomzone import build_hll
-
-            he = build_hll(arr)
-            if he is not None:
-                stats.setdefault("__hll__", {})[bc.field.name] = he
-        if quantile_cols and bc.field.name in quantile_cols:
-            from .bloomzone import build_quant
-
-            qe = build_quant(arr, k=quantile_k)
-            if qe is not None:
-                stats.setdefault("__quant__", {})[bc.field.name] = qe
-        add_zone_stats(stats, bc.field.name, arr)
-        mjson = json.dumps(meta, separators=(",", ":"))
-        out[f"col{i}_payload"] = [payload]
-        out[f"col{i}_meta"] = [mjson]
-        payload_parts.append(payload)
-        codec_summary.append(_codec_of(meta))
-    metas = [out[f"col{i}_meta"][0] for i in range(len(bound.columns))]
-    checksum, chunk_id = chunk_identity(payload_parts, metas)
-    bytes_out = sum(len(p) for p in payload_parts) + sum(len(m) for m in metas)
-    out_meta = {
+    cols = [encode_chunk_column(
+        batch.column(bc.index), bc.field.name, stats, spec,
+        forced=bc.plan.forced_codec,
+        shared_int=(shared_dicts or {}).get(bc.field.name),
+        lengths_ref=lengths_refs.get(bc.field.name))
+        for bc in bound.columns]
+    payloads = [p for p, _, _ in cols]
+    metas = [m for _, m, _ in cols]
+    checksum, chunk_id = chunk_identity(payloads, metas)
+    out = {
         "fragment": [fragment],
         "chunk_id": [chunk_id],
-        "n_rows": [n_rows],
+        "n_rows": [len(batch)],
         "n_tokens": [_token_count(batch)],
-        "bytes_in": [bytes_in],
-        "bytes_out": [bytes_out],
+        "bytes_in": [sum(batch.column(bc.index).nbytes
+                         for bc in bound.columns)],
+        "bytes_out": [sum(map(len, payloads)) + sum(map(len, metas))],
         "checksum": [checksum],
         "plan_json": [json.dumps([b.field.name for b in bound.columns])],
-        "codecs_json": [json.dumps(codec_summary)],
+        "codecs_json": [json.dumps([c for _, _, c in cols])],
         # zone maps: per-column [min, max] — chunk-level predicate
         # pushdown at decode; also lands in the lineage manifest
         "stats_json": [json.dumps(stats, separators=(",", ":"), default=str)],
     }
-    out_meta.update(out)
-    return out_meta
+    for i, (payload, mjson) in enumerate(zip(payloads, metas)):
+        out[f"col{i}_payload"] = [payload]
+        out[f"col{i}_meta"] = [mjson]
+    return out
+
+
+def encode_chunk_column(arr, name: str, stats: dict, spec: EncodeSpec, *,
+                        forced=None, shared_int=None,
+                        lengths_ref=None) -> tuple:
+    """One column of a chunk -> (payload, ``colN_meta`` JSON, codec
+    summary).  The column's sketches (those ``spec`` names) and its
+    zone-map entry land in the chunk's ``stats``.  The meta carries the
+    column name and a per-column checksum, so PROJECTED decodes (a
+    subset of columns) verify integrity without every payload."""
+    payload, meta = encode_column(arr, forced=forced, shared_int=shared_int,
+                                  lengths_ref=lengths_ref)
+    meta["name"] = name
+    meta["ck"] = hashlib.blake2b(payload, digest_size=8).hexdigest()
+    for key, cols, build in (
+            ("__bloom__", spec.bloom_cols, build_bloom),
+            ("__hll__", spec.hll_cols, build_hll),
+            ("__quant__", spec.quantile_cols,
+             lambda a: build_quant(a, k=spec.quantile_k))):
+        if name in cols and (entry := build(arr)) is not None:
+            stats.setdefault(key, {})[name] = entry
+    add_zone_stats(stats, name, arr)
+    return payload, json.dumps(meta, separators=(",", ":")), _codec_of(meta)
 
 
 def _codec_of(meta: dict) -> dict:
@@ -323,14 +348,10 @@ def _strip_sys(batch: pa.Table) -> pa.Table:
     return batch.drop_columns(drop) if drop else batch
 
 
-def encode_batch(batch: pa.Table, plan_names: Optional[list] = None,
+def encode_batch(batch: pa.Table, spec: EncodeSpec = EncodeSpec(), *,
+                 plan_names: Optional[list] = None,
                  fragments: Optional[list] = None,
-                 post_compress: Optional[str] = None,
-                 shared_dicts=None,
-                 bloom_cols: Optional[list] = None,
-                 hll_cols: Optional[list] = None,
-                 quantile_cols: Optional[list] = None,
-                 quantile_k: int = 256) -> dict:
+                 shared_dicts=None) -> dict:
     """One raw batch -> one encoded chunk row.  Strictly deterministic:
     FSST tables are trained per chunk, and ``shared_dicts`` are
     pre-trained fixed inputs, so re-encoding a chunk's rows reproduces
@@ -339,9 +360,5 @@ def encode_batch(batch: pa.Table, plan_names: Optional[list] = None,
     data = _strip_sys(batch)
     plan = CodecPlan.by_name(*plan_names) if plan_names else CodecPlan.from_schema(data.schema)
     bound = bind_plan(plan, data.schema)
-    return encode_chunk(data, bound, fragment=fragment,
-                        post_compress=post_compress,
-                        shared_dicts=_resolve_shared_dicts(shared_dicts),
-                        bloom_cols=bloom_cols, hll_cols=hll_cols,
-                        quantile_cols=quantile_cols,
-                        quantile_k=quantile_k)
+    return encode_chunk(data, bound, spec, fragment=fragment,
+                        shared_dicts=_resolve_shared_dicts(shared_dicts))

@@ -48,7 +48,9 @@ def codec_choice_histogram(out_dir: str) -> dict:
     return dict(sorted(hist.items()))
 
 def lineage_report(out_dir: str, limit: int = 20) -> str:
-    """Human-readable lineage summary (humanizeSiphonError graft)."""
+    """Human-readable lineage summary (humanizeSiphonError graft),
+    with the corpus's recorded ``EncodeSpec`` — how it was built."""
+    from ..pipelines.encode_pipeline import load_encode_spec
     from ..render import ascii_table
 
     t = load_lineage(out_dir)
@@ -64,6 +66,7 @@ def lineage_report(out_dir: str, limit: int = 20) -> str:
         f"(ratio {total_out / max(total_in, 1):.3f}, "
         f"{total_out / max(tokens, 1):.3f} B/token)",
         f"codec wins: {codec_choice_histogram(out_dir)}",
+        f"encode spec: {load_encode_spec(out_dir) or '(none recorded)'}",
     ]
     view = t.select(["fragment", "chunk_id", "n_rows", "n_tokens", "bytes_out"])
     return "\n".join(head) + "\n" + ascii_table(view, limit=limit)

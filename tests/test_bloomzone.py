@@ -96,8 +96,8 @@ def test_bloom_absent_is_conservative(ray_session, tmp_path):
 def test_bloom_not_stale_after_update(ray_session, tmp_path):
     """A rewrite that changes values in a bloom-indexed column must not
     carry the old filter forward: re-encoded chunks RE-DERIVE their
-    blooms over the new values (the corpus's recorded sketch config,
-    `record_sketch_cols`), so a point lookup for a value that only
+    blooms over the new values (the sketches of the corpus's recorded
+    `EncodeSpec`), so a point lookup for a value that only
     exists POST-update both finds it and stays prunable."""
     from colonnade_ray.pipelines import update_where
     from colonnade_ray.state.lineage import load_lineage
@@ -248,7 +248,7 @@ def test_auto_bloom_default_on_clustered(tmp_path, ray_session):
     import json as _json
 
     from colonnade_ray.pipelines import count_where, encode_corpus
-    from colonnade_ray.pipelines.encode_pipeline import sketch_cols
+    from colonnade_ray.pipelines.encode_pipeline import load_encode_spec
     from colonnade_ray.stages.decode import chunk_may_match
 
     rng = np.random.default_rng(61)
@@ -263,7 +263,7 @@ def test_auto_bloom_default_on_clustered(tmp_path, ray_session):
 
     out_c = str(tmp_path / "clustered")
     encode_corpus(str(src), out_c, batch_size=256, cluster_by="v")
-    assert sketch_cols(out_c).get("bloom_cols") == ["doc_id"]
+    assert list(load_encode_spec(out_c).bloom_cols) == ["doc_id"]
     lin = os.path.join(out_c, "_lineage")
     sj = []
     for f in os.listdir(lin):
@@ -278,12 +278,12 @@ def test_auto_bloom_default_on_clustered(tmp_path, ray_session):
 
     out_p = str(tmp_path / "plain")
     encode_corpus(str(src), out_p, batch_size=256)
-    assert not sketch_cols(out_p).get("bloom_cols")
+    assert not load_encode_spec(out_p).bloom_cols
 
     out_o = str(tmp_path / "optout")
     encode_corpus(str(src), out_o, batch_size=256, cluster_by="v",
                   bloom_cols=[])
-    assert not sketch_cols(out_o).get("bloom_cols")
+    assert not load_encode_spec(out_o).bloom_cols
     lin = os.path.join(out_o, "_lineage")
     sj = []
     for f in os.listdir(lin):
@@ -298,7 +298,7 @@ def test_approx_quantiles_pushdown(tmp_path, ray_session):
     quantile_disc) when quantile_k >= chunk rows, metadata-only on the
     sketched path, exact via fallback scan under deletes and for
     unsketched corpora, bounded rank error at small k, and grids
-    re-derived by vacuum (sketch_cols survival)."""
+    re-derived by vacuum (the recorded EncodeSpec's sketches)."""
     import duckdb
 
     from colonnade_ray.pipelines import (

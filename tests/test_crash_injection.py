@@ -257,8 +257,15 @@ def test_crash_sweep_encode_resume(ray_session, tmp_path):
                       orig["n_tok"].to_pylist()))
 
     def invariant():
-        # whatever subset of groups committed must decode exactly
-        from colonnade_ray.pipelines.encode_pipeline import active_groups
+        # whatever subset of groups committed must decode exactly, and
+        # the encode spec lands before any group commits
+        from colonnade_ray.pipelines.encode_pipeline import (
+            active_groups,
+            completed_groups,
+            load_encode_spec,
+        )
+        if completed_groups(out):
+            assert load_encode_spec(out) is not None
         if not active_groups(out):
             return
         df = _live(out, columns=["doc_id", "n_tok"])
@@ -339,8 +346,7 @@ def test_crash_sweep_merge_rows(ray_session, tmp_path):
             else:
                 assert versions == {old_src[d]}
 
-    n = crash_sweep(lambda: merge_rows(out, bp, key="doc_id",
-                                       batch_size=64), invariant)
+    n = crash_sweep(lambda: merge_rows(out, bp, key="doc_id"), invariant)
     assert n >= 3  # append commit choreography + delete sidecar+marker
     df = decode_corpus(out).to_pandas()
     assert df["doc_id"].is_unique and len(df) == orig.num_rows

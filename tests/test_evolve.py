@@ -187,6 +187,32 @@ def test_rename_columns_follows_refs_and_stats(ray_session, tmp_path):
     assert aggw(out, "sum", "length") == int(nt.sum())
 
 
+def test_rename_and_drop_carry_the_encode_spec(ray_session, tmp_path):
+    """The recorded EncodeSpec and every chunk's sketches follow a
+    rename and a drop, so later writes cluster and sketch columns that
+    exist under their current names."""
+    from colonnade_ray.pipelines import drop_columns, rename_columns
+    from colonnade_ray.pipelines.encode_pipeline import load_encode_spec
+    from colonnade_ray.state.lineage import load_lineage
+
+    inp, out, orig = _setup(tmp_path, n_rows=200, cluster_by="n_tok",
+                            bloom_cols=["doc_id"], hll_cols=["n_tok"])
+    rename_columns(out, {"n_tok": "length", "doc_id": "id"})
+    spec = load_encode_spec(out)
+    assert (spec.cluster_by, spec.bloom_cols, spec.hll_cols) == \
+        ("length", ("id",), ("length",))
+    for sj in load_lineage(out)["stats_json"].to_pylist():
+        stats = json.loads(sj)
+        assert set(stats["__bloom__"]) == {"id"}
+        assert set(stats["__hll__"]) == {"length"}
+    drop_columns(out, ["tokens", "length"])
+    spec = load_encode_spec(out)
+    assert (spec.cluster_by, spec.bloom_cols, spec.hll_cols) == \
+        (None, ("id",), ())
+    for sj in load_lineage(out)["stats_json"].to_pylist():
+        assert "length" not in json.loads(sj).get("__hll__", {})
+
+
 def test_schema_rewrite_refuses_pending_deletes(ray_session, tmp_path):
     from colonnade_ray.pipelines import drop_columns, rename_columns
 

@@ -140,8 +140,10 @@ def test_lifecycle_random_program_matches_model(ray_session, tmp_path,
                 # batch_size=64 == quantile_k: grids are FULL, so the
                 # pushdown is exact == DuckDB-convention quantile_disc
                 # against the live model — through deletes, vacuums,
-                # appends (which encode WITHOUT grids: mixed path),
-                # merges, updates and restores
+                # appends and merges (which take their grids from the
+                # recorded spec), updates and restores; the mixed
+                # sketch-and-scan path is reached through masked chunks
+                # under deletes (and test_approx_quantiles_pushdown)
                 from colonnade_ray.pipelines import approx_quantiles
 
                 nn_s = exp[icol].dropna().sort_values().to_numpy()
@@ -152,8 +154,9 @@ def test_lifecycle_random_program_matches_model(ray_session, tmp_path,
                     assert got_q == want_q, (q, got_q, want_q)
             if "hll_cols" in enc:
                 # sketches survive whatever lifecycle just happened
-                # (rewritten chunks drop theirs and re-scan); appends
-                # encode WITHOUT hll_cols, exercising the mixed path
+                # (rewritten chunks re-sketch from the recorded spec,
+                # as appends and merges do); the mixed sketch-and-scan
+                # path is reached through masked chunks under deletes
                 from colonnade_ray.pipelines import approx_distinct
 
                 est = approx_distinct(out, "doc_id")
@@ -360,7 +363,7 @@ def test_lifecycle_random_program_matches_model(ray_session, tmp_path,
         os.makedirs(d, exist_ok=True)
         bp = os.path.join(d, "part-000.parquet")
         pq.write_table(t2, bp)
-        merge_rows(out, bp, key="doc_id", batch_size=64)
+        merge_rows(out, bp, key="doc_id")
         keep = m[~m["doc_id"].isin(keys)]
         state["model"] = pd.concat(
             [keep, _model_of(t2)], ignore_index=True)

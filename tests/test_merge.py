@@ -86,7 +86,7 @@ def _expected(orig, batch):
 def test_merge_updates_and_inserts(ray_session, tmp_path):
     inp, out, orig = _setup(tmp_path)
     p, batch = _merge_batch(tmp_path, orig)
-    res = merge_rows(out, p, key="doc_id", batch_size=64)
+    res = merge_rows(out, p, key="doc_id")
     assert res["matched_keys"] == batch.num_rows
     assert res["appended_rows"] == batch.num_rows
     assert res["masked_rows"] == 80  # only the updated keys existed
@@ -96,9 +96,9 @@ def test_merge_updates_and_inserts(ray_session, tmp_path):
 def test_merge_rerun_converges(ray_session, tmp_path):
     inp, out, orig = _setup(tmp_path)
     p, batch = _merge_batch(tmp_path, orig)
-    merge_rows(out, p, key="doc_id", batch_size=64)
+    merge_rows(out, p, key="doc_id")
     before = _visible(out)
-    res2 = merge_rows(out, p, key="doc_id", batch_size=64)
+    res2 = merge_rows(out, p, key="doc_id")
     assert res2["appended_files"] == 0  # covered -> append skipped
     assert _visible(out) == before == _expected(orig, batch)
 
@@ -118,7 +118,7 @@ def test_merge_crash_window_shows_duplicates_then_converges(
     assert len(ids) == orig.num_rows + batch.num_rows  # duplicates live
     assert len(set(ids)) == orig.num_rows
     # re-run the full merge: append skips, delete masks the old rows
-    merge_rows(out, p, key="doc_id", batch_size=64)
+    merge_rows(out, p, key="doc_id")
     assert _visible(out) == _expected(orig, batch)
 
 
@@ -134,7 +134,7 @@ def test_merge_validation(ray_session, tmp_path):
         "source": ["x", "x"],
     }), dup)
     with pytest.raises(ValueError, match="not key-unique"):
-        merge_rows(out, dup, key="doc_id", batch_size=64)
+        merge_rows(out, dup, key="doc_id")
     nul = str(d / "nul.parquet")
     pq.write_table(pa.table({
         "doc_id": pa.array(["a", None], pa.string()),
@@ -143,13 +143,53 @@ def test_merge_validation(ray_session, tmp_path):
         "source": ["x", "x"],
     }), nul)
     with pytest.raises(ValueError, match="nulls"):
-        merge_rows(out, nul, key="doc_id", batch_size=64)
+        merge_rows(out, nul, key="doc_id")
+
+
+def test_writes_after_encode_keep_its_spec(ray_session, tmp_path):
+    """merge_rows, vacuum_deletes and replace_where write chunks under
+    the corpus's recorded EncodeSpec: every chunk carries the same
+    Bloom and HLL column sets, and the merged rows are chunked at the
+    recorded batch size and sorted on the cluster column."""
+    import json
+
+    from colonnade_ray.pipelines import replace_where
+    from colonnade_ray.stages.decode import decode_chunk_row
+    from colonnade_ray.state.lineage import load_lineage
+
+    inp, out, orig = _setup(tmp_path, cluster_by="n_tok",
+                            bloom_cols=["doc_id"], hll_cols=["doc_id", "n_tok"])
+    p, batch = _merge_batch(tmp_path, orig)  # 120 rows, one file
+
+    def same_sketches():
+        for sj in load_lineage(out)["stats_json"].to_pylist():
+            stats = json.loads(sj)
+            assert set(stats.get("__bloom__", {})) == {"doc_id"}
+            assert set(stats.get("__hll__", {})) == {"doc_id", "n_tok"}
+
+    merge_rows(out, p, key="doc_id")
+    same_sketches()
+    vacuum_deletes(out)
+    same_sketches()
+    replace_where(out, ("source", "==", "m1"), {"source": "m2"})
+    same_sketches()
+    merged = []
+    for gid in active_groups(out):
+        with open(os.path.join(out, "_meta", f"group-{gid}.files.json")) as f:
+            if p in json.load(f):
+                gdir = os.path.join(out, "data", f"group-{gid}")
+                merged += pq.read_table(gdir).to_pylist()
+    assert sum(r["n_rows"] for r in merged) == batch.num_rows
+    for row in merged:
+        assert row["n_rows"] <= 64
+        n_tok = decode_chunk_row(row, columns=["n_tok"])["n_tok"].to_pylist()
+        assert n_tok == sorted(n_tok)
 
 
 def test_merge_then_vacuum_and_pushdowns(ray_session, tmp_path):
     inp, out, orig = _setup(tmp_path, cluster_by="n_tok")
     p, batch = _merge_batch(tmp_path, orig)
-    merge_rows(out, p, key="doc_id", batch_size=64, cluster_by="n_tok")
+    merge_rows(out, p, key="doc_id")
     exp = _expected(orig, batch)
     n_m1 = count_where(out, ("source", "==", "m1"))
     assert n_m1 == sum(1 for v in exp.values() if v[1] == "m1")
@@ -165,7 +205,7 @@ def test_merge_then_vacuum_and_pushdowns(ray_session, tmp_path):
 def test_second_merge_overwrites_first(ray_session, tmp_path):
     inp, out, orig = _setup(tmp_path)
     p1, b1 = _merge_batch(tmp_path, orig, n_update=60, n_insert=20, tag="m1")
-    merge_rows(out, p1, key="doc_id", batch_size=64)
+    merge_rows(out, p1, key="doc_id")
     # batch 2 re-touches 30 of batch 1's updated keys, one of its
     # inserted keys, and 30 untouched corpus keys
     after1 = _expected(orig, b1)
@@ -182,7 +222,7 @@ def test_second_merge_overwrites_first(ray_session, tmp_path):
     d.mkdir()
     p2 = str(d / "batch-0.parquet")
     pq.write_table(t2, p2)
-    merge_rows(out, p2, key="doc_id", batch_size=64)
+    merge_rows(out, p2, key="doc_id")
     exp = dict(after1)
     for k in keys2:
         exp[k] = ([9, 9], "m2")
@@ -234,7 +274,7 @@ def test_apply_changes_upserts_and_deletes(ray_session, tmp_path):
         "source": ["cdc"] * (len(upd) + len(new) + len(dele)),
         "op": ["upsert"] * (len(upd) + len(new)) + ["delete"] * len(dele),
     }, "a")
-    res = apply_changes(out, p, key="doc_id", batch_size=64)
+    res = apply_changes(out, p, key="doc_id")
     assert res["upserts"] == 40 and res["deletes"] == 40
     assert res["masked_rows_upsert"] == 30  # new keys masked nothing
     assert res["masked_rows_delete"] == 40
@@ -246,7 +286,7 @@ def test_apply_changes_upserts_and_deletes(ray_session, tmp_path):
         exp[d] = ([5], "cdc")
     assert got == exp
     # re-run converges (append skipped, masks re-OR)
-    apply_changes(out, p, key="doc_id", batch_size=64)
+    apply_changes(out, p, key="doc_id")
     assert _visible(out) == exp
     # vacuum composes
     vacuum_deletes(out)
@@ -261,17 +301,17 @@ def test_apply_changes_validation(ray_session, tmp_path):
     p, _ = _write_changes(tmp_path, {
         "doc_id": ["a", "a"], "op": ["upsert", "delete"], **base}, "dup")
     with pytest.raises(ValueError, match="not key-unique"):
-        apply_changes(out, p, key="doc_id", batch_size=64)
+        apply_changes(out, p, key="doc_id")
     p, _ = _write_changes(tmp_path, {
         "doc_id": ["a", "b"], "op": ["upsert", "truncate"], **base}, "op")
     with pytest.raises(ValueError, match="unsupported ops"):
-        apply_changes(out, p, key="doc_id", batch_size=64)
+        apply_changes(out, p, key="doc_id")
     # delete-only batch works (no staged file, no append)
     victims = orig["doc_id"].to_pylist()[:5]
     p, _ = _write_changes(tmp_path, {
         "doc_id": victims, "tokens": [[0]] * 5, "n_tok": [0] * 5,
         "source": ["-"] * 5, "op": ["delete"] * 5}, "del")
-    res = apply_changes(out, p, key="doc_id", batch_size=64)
+    res = apply_changes(out, p, key="doc_id")
     assert res["upserts"] == 0 and res["masked_rows_delete"] == 5
     assert len(_visible(out)) == orig.num_rows - 5
 
@@ -286,7 +326,7 @@ def test_sweep_reclaims_abandoned_cdc_stage(ray_session, tmp_path):
     p, _ = _write_changes(tmp_path, {
         "doc_id": ["doc-z1"], "tokens": [[1]], "n_tok": [1],
         "source": ["cdc"], "op": ["upsert"]}, "live")
-    apply_changes(out, p, key="doc_id", batch_size=64)
+    apply_changes(out, p, key="doc_id")
     staged_dir = os.path.join(out, "_staged")
     covered_stage = sorted(os.listdir(staged_dir))
     # fabricate an abandoned stage (crash before merge committed)

@@ -673,29 +673,6 @@ def test_compact_corpus_keeps_plan_cohorts_separate(ray_session, tmp_path):
     assert len(got) == rd.read_parquet(inp).count()
 
 
-def test_post_compress_zstd_roundtrip(ray_session, tmp_path):
-    """Optional generic post-compression layer: taken per column only
-    when it shrinks, transparent at decode, checksums over stored
-    bytes, and never larger than the uncompressed encode."""
-    import ray.data as rd
-
-    from colonnade_ray.corpus import tokenized_documents
-    from colonnade_ray.pipelines import decode_corpus, encode_corpus
-    from colonnade_ray.pipelines.encode_pipeline import dataset_digest
-
-    inp = str(tmp_path / "inp")
-    tokenized_documents("/root/testdata/sf0.001").write_parquet(inp)
-    cols = rd.read_parquet(inp).schema().names
-    plain_out = str(tmp_path / "plain")
-    z_out = str(tmp_path / "z")
-    s0 = encode_corpus(inp, plain_out, batch_size=512, partition_by=None)
-    s1 = encode_corpus(inp, z_out, batch_size=512, partition_by=None,
-                       post_compress="zstd")
-    assert s1["bytes_out"] <= s0["bytes_out"]
-    assert dataset_digest(decode_corpus(z_out), cols) == dataset_digest(
-        rd.read_parquet(inp), cols)
-
-
 def test_string_zone_maps_prune_and_stay_correct(ray_session, tmp_path):
     """String columns now carry lexicographic [min,max] zone bounds:
     chunk_may_match prunes string predicates, over-long maxima drop the
@@ -1870,6 +1847,35 @@ def test_shared_dict_append_reuses_manifest(tmp_path, ray_session):
     dd = dataset_digest(decode_corpus(out), F1_COLS)
     od = dataset_digest(rd.read_parquet(str(d)), F1_COLS)
     assert dd == od
+
+
+def test_continuing_encode_refuses_a_different_spec(tmp_path, ray_session):
+    """Append and resume read the recorded EncodeSpec back: a layout
+    option set to another value raises naming the option, the same
+    explicit values (or none) are accepted."""
+    from colonnade_ray.pipelines.encode_pipeline import load_encode_spec
+
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for i in range(2):
+        pq.write_table(synth_rows(100, seed=90 + i, start_id=i * 100),
+                       d / f"part-{i:03d}.parquet")
+    out = str(tmp_path / "enc")
+    layout = dict(batch_size=64, cluster_by="n_tok", bloom_cols=["doc_id"])
+    encode_corpus(str(d / "part-000.parquet"), out, **layout)
+    spec = load_encode_spec(out)
+    assert (spec.batch_size, spec.cluster_by, spec.bloom_cols) == \
+        (64, "n_tok", ("doc_id",))
+    for name, other in (("batch_size", 128), ("cluster_by", "doc_id"),
+                        ("bloom_cols", ["source"])):
+        with pytest.raises(ValueError, match=name):
+            encode_corpus(str(d), out, append=True, **{name: other})
+        with pytest.raises(ValueError, match=name):
+            encode_corpus(str(d / "part-000.parquet"), out, resume=True,
+                          **{name: other})
+    s = encode_corpus(str(d), out, append=True, **layout)
+    assert s["appended_files"] == 1 and s["rows"] == 200
+    assert load_encode_spec(out) == spec
 
 
 def test_lengths_ref_projected_decode_corpus(corpus_dir, tmp_path, ray_session):

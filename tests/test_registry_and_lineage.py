@@ -86,6 +86,7 @@ def test_lineage_report(tmp_path, ray_session):
     assert any(k.startswith("values=") for k in hist)
     rep = lineage_report(out)
     assert "B/token" in rep and "codec wins" in rep and "+" in rep
+    assert "encode spec: EncodeSpec(batch_size=128," in rep
 
 
 def test_compact_only_smaller_than(ray_session, tmp_path):

@@ -96,7 +96,7 @@ def test_snapshot_survives_rewrites_and_merge(ray_session, tmp_path):
     bdir.mkdir()
     bp = str(bdir / "b0.parquet")
     pq.write_table(batch, bp)
-    merge_rows(out, bp, key="doc_id", batch_size=64)
+    merge_rows(out, bp, key="doc_id")
     snap = decode_snapshot(out, "before").to_pandas()
     snap["tokens"] = snap["tokens"].map(tuple)
     exp = orig.to_pandas()
@@ -193,7 +193,7 @@ def test_restore_snapshot_with_pending_mask_snapshot(ray_session, tmp_path):
     bdir.mkdir()
     bp = str(bdir / "b0.parquet")
     pq.write_table(batch, bp)
-    merge_rows(out, bp, key="doc_id", batch_size=64)
+    merge_rows(out, bp, key="doc_id")
     vacuum_deletes(out)  # merge's keyed masks: none matched, but retire
     restore_snapshot(out, "masked")
     keep = sorted(
@@ -291,6 +291,42 @@ def test_restore_snapshot_again_after_append(ray_session, tmp_path):
     assert sorted(got["source"]) == sorted(orig["source"].to_pylist())
     assert len(active_groups(out)) == 1
     assert restore_snapshot(out, "t0")["restored_cohorts"] == 0
+
+
+def test_restore_snapshot_brings_back_its_encode_spec(ray_session,
+                                                      tmp_path):
+    """The encode spec is part of a snapshot: restoring one taken
+    before a rename of the cluster column brings back the old column
+    name AND the spec that names it, so a later merge clusters and
+    sketches the columns the restored rows have."""
+    from colonnade_ray.pipelines import rename_columns, restore_snapshot
+    from colonnade_ray.pipelines.encode_pipeline import load_encode_spec
+
+    inp, out, orig = _setup(tmp_path, n_rows=200, cluster_by="n_tok",
+                            hll_cols=["doc_id"])
+    spec = load_encode_spec(out)
+    create_snapshot(out, "t0")
+    rename_columns(out, {"n_tok": "tok_count"})
+    assert load_encode_spec(out).cluster_by == "tok_count"
+    assert restore_snapshot(out, "t0")["restored_cohorts"] == 1
+    assert load_encode_spec(out) == spec
+    batch = pa.table({
+        "doc_id": orig["doc_id"].slice(0, 10),
+        "tokens": pa.array([[1, 2]] * 10, pa.list_(pa.int32())),
+        "n_tok": pa.array([2] * 10, pa.int32()),
+        "source": pa.array(["merged"] * 10, pa.string()),
+    })
+    bdir = tmp_path / "b"
+    bdir.mkdir()
+    bp = str(bdir / "b0.parquet")
+    pq.write_table(batch, bp)
+    merge_rows(out, bp, key="doc_id")
+    live = decode_corpus(out, columns=["doc_id", "n_tok", "source"]) \
+        .to_pandas()
+    assert sorted(live["doc_id"]) == sorted(orig["doc_id"].to_pylist())
+    assert (live["source"] == "merged").sum() == 10
+    assert count_where(out, ("n_tok", "==", 2)) == \
+        10 + int((orig["n_tok"].to_numpy()[10:] == 2).sum())
 
 
 def test_snapshot_validation_and_torn_create(ray_session, tmp_path):

@@ -161,7 +161,11 @@ def test_typed_jsonl_feeds_encode_pipeline(tmp_path, ray_session):
     the CSV integration below)."""
     import ray.data as rd
 
-    from colonnade_ray.pipelines import decode_dataset, encode_dataset
+    from colonnade_ray.pipelines import (
+        EncodeSpec,
+        decode_dataset,
+        encode_dataset,
+    )
     from colonnade_ray.sources.jsonl import read_typed_jsonl
     from colonnade_ray.sources.typed_csv import CsvColumn
 
@@ -170,7 +174,7 @@ def test_typed_jsonl_feeds_encode_pipeline(tmp_path, ray_session):
         f'{{"name": "row{i}", "n": {i * 3}}}' for i in range(300)) + "\n")
     cols = [CsvColumn("name", pa.string()), CsvColumn("n", pa.int32())]
     ds = read_typed_jsonl(str(p), cols)
-    enc = encode_dataset(ds, batch_size=64)
+    enc = encode_dataset(ds, EncodeSpec(batch_size=64))
     back = decode_dataset(rd.from_arrow(pa.Table.from_pylist(
         enc.take_all()))).to_pandas().sort_values("n").reset_index(drop=True)
     assert back["name"].tolist() == [f"row{i}" for i in range(300)]
@@ -184,7 +188,11 @@ def test_typed_csv_feeds_encode_pipeline(tmp_path, ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from colonnade_ray.pipelines import decode_dataset, encode_dataset
+    from colonnade_ray.pipelines import (
+        EncodeSpec,
+        decode_dataset,
+        encode_dataset,
+    )
     from colonnade_ray.sources.typed_csv import CsvColumn, read_typed_csv
 
     p = tmp_path / "t.csv"
@@ -194,7 +202,7 @@ def test_typed_csv_feeds_encode_pipeline(tmp_path, ray_session):
             CsvColumn("n", pa.int32()),
             CsvColumn("score", pa.float64(), nullable=True)]
     ds = read_typed_csv(str(p), cols)
-    enc = encode_dataset(ds, batch_size=128)
+    enc = encode_dataset(ds, EncodeSpec(batch_size=128))
     back = decode_dataset(rd.from_arrow(pa.Table.from_pylist(
         enc.take_all()))).to_pandas().sort_values("n").reset_index(drop=True)
     assert len(back) == 500

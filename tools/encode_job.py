@@ -38,7 +38,9 @@ def main(argv=None) -> int:
     ap.add_argument("--output", required=True, help="encode output root")
     ap.add_argument("--partition-by", default="source", choices=["source", "none"],
                     help="skew shuffle key ('none' disables the exchange)")
-    ap.add_argument("--batch-size", type=int, default=8192)
+    ap.add_argument("--batch-size", type=int, default=None,
+                    help="rows per chunk (default 8192; an append or "
+                    "resume takes the corpus's recorded value)")
     ap.add_argument("--token-budget", type=int, default=4_000_000,
                     help="tokens per partition bucket (salt granularity)")
     ap.add_argument("--group-size", type=int, default=None,
