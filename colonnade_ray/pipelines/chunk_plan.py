@@ -13,10 +13,13 @@
   the chunks an operation could not answer from metadata (or, for an
   unpredicated corpus read, every chunk in scope, with no per-chunk
   planning), decodes them, masks deleted rows, applies the predicate
-  exactly and folds each task's tables into one partial.  The
-  pushdowns merge the partials on the driver (pipelines/pushdown.py);
-  ``decode_corpus`` / ``decode_snapshot`` return them as the decoded
-  Dataset, and ``decode_digest_corpus`` sums one digest row per task.
+  exactly and folds each task's tables into one partial.  A scan
+  that fits one decode task's token budget runs in the driver, with
+  no Ray job; a larger one is a Ray Data job
+  (encode_pipeline.map_encoded).  The pushdowns merge the partials on
+  the driver (pipelines/pushdown.py); ``decode_corpus`` /
+  ``decode_snapshot`` return them as the decoded Dataset, and
+  ``decode_digest_corpus`` sums one digest row per task.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .encode_pipeline import (
     _scope,
     active_groups,
     lineage_table,
+    map_encoded,
 )
 
 
@@ -141,20 +145,20 @@ def scan_chunks(out_dir: str, plan: ChunkPlan, chunks, columns,
     row groups, projected to ``columns`` plus the predicate's columns.
     ``chunks=None`` reads every chunk of ``plan.groups`` unfiltered;
     ``columns=None`` decodes whole chunks (and verifies the whole-chunk
-    checksum when ``verify_checksum``).  Returns the lazy Dataset of
-    partials."""
+    checksum when ``verify_checksum``).  Returns the partials: a list
+    when the read fits one decode task's token budget and ran in the
+    driver, else the lazy Dataset of a Ray Data job."""
     from ..stages.decode import decode_live, predicate_columns
-    from ..util import default_concurrency
     from .deletes import load_delete_masks
 
     cols = None if columns is None else list(dict.fromkeys(
         [*columns, *predicate_columns(plan.preds)]))
     if chunks is None:
         keys = None
-        enc, cpt = _read_encoded(out_dir, cols, groups=plan.groups)
+        read = _read_encoded(out_dir, cols, groups=plan.groups)
     else:
         keys = {c.key for c in chunks}
-        enc, cpt = read_chunks(out_dir, plan, chunks, cols)
+        read = read_chunks(out_dir, plan, chunks, cols)
     preds, deletes_dir = plan.preds, plan.deletes_dir
 
     def part(batch: pa.Table) -> pa.Table:
@@ -167,6 +171,12 @@ def scan_chunks(out_dir: str, plan: ChunkPlan, chunks, columns,
         return fold(decode_live(batch, rows, cols, preds, masks,
                                 verify_checksum))
 
-    return enc.map_batches(part, batch_format="pyarrow",
-                           batch_size=max(1, cpt), zero_copy_batch=True,
-                           concurrency=default_concurrency())
+    return map_encoded(read, part)
+
+
+def partials(parts):
+    """The partial tables of a ``scan_chunks`` result, one block at a
+    time as they stream in."""
+    if isinstance(parts, list):
+        return iter(parts)
+    return parts.iter_batches(batch_format="pyarrow", batch_size=None)

@@ -201,9 +201,13 @@ def _delete_where_once(out_dir: str, predicate,
         predicate_json,
         predicates_mask,
     )
-    from ..util import default_concurrency
     from .chunk_plan import _plan, read_chunks
-    from .encode_pipeline import _meta_root, _register_dict_dir, active_groups
+    from .encode_pipeline import (
+        _meta_root,
+        _register_dict_dir,
+        active_groups,
+        map_encoded,
+    )
 
     from .concurrency import WriterSession
 
@@ -244,9 +248,11 @@ def _delete_where_once(out_dir: str, predicate,
     # masks are not consulted: stacked deletes OR together, so this
     # sidecar records every matching row, deleted before or not
     plan = _plan(out_dir, preds, groups, None)
+    # proven chunks: every row matches -> a 0-byte "all" marker
+    rows = [_delete_rows([(c.fragment, c.chunk_id, c.n_rows, "all",
+                           c.n_rows, b"") for c in plan.proven])]
     if plan.maybe:
         keys = {c.key for c in plan.maybe}
-        enc, cpt = read_chunks(out_dir, plan, plan.maybe, cols)
 
         def part(batch: pa.Table) -> pa.Table:
             _register_dict_dir(out_dir)
@@ -269,16 +275,15 @@ def _delete_where_once(out_dir: str, predicate,
                 out.append((*key, t.num_rows, kind, nd, bm))
             return _delete_rows(out)
 
-        os.makedirs(root, exist_ok=True)
-        enc.map_batches(
-            part, batch_format="pyarrow", batch_size=max(1, cpt),
-            zero_copy_batch=True,
-            concurrency=default_concurrency(),
-        ).write_parquet(ddir, compression="zstd")
-    # proven chunks: every row matches -> a 0-byte "all" marker
+        parts = map_encoded(read_chunks(out_dir, plan, plan.maybe, cols),
+                            part)
+        if isinstance(parts, list):  # a driver-run scan: one file
+            rows += parts
+        else:
+            os.makedirs(root, exist_ok=True)
+            parts.write_parquet(ddir, compression="zstd")
     os.makedirs(ddir, exist_ok=True)
-    pq.write_table(_delete_rows([(c.fragment, c.chunk_id, c.n_rows, "all",
-                                  c.n_rows, b"") for c in plan.proven]),
+    pq.write_table(pa.concat_tables(rows),
                    os.path.join(ddir, "part-0.parquet"), compression="zstd")
     t = pq.read_table(ddir, columns=["n_deleted"])
     chunks = t.num_rows

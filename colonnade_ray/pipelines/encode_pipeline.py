@@ -30,8 +30,8 @@ import hashlib
 import json
 import os
 import shutil
-from dataclasses import asdict, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -711,13 +711,14 @@ _LIN_CACHE: dict = {}
 _LIN_CACHE_CAP = 1024
 
 
-def lineage_table(out_dir: str, gid: str) -> pa.Table:
-    """One group's lineage marker, process-cached by (path, mtime_ns,
-    size) — a pushdown reads each manifest once per query for
-    pruning, once for task sizing, once for projection resolution,
-    and the driver repeats that per query; at 1e5 groups those
-    re-reads dominate driver time.  The identity key makes the cache
-    crash/rewrite-safe for free: markers only ever change by
+def _lineage_entry(out_dir: str, gid: str) -> dict:
+    """One group's lineage marker as ``{"table": ...}``, plus whatever
+    the readers derive from it (``_ref_targets``), process-cached by
+    (path, mtime_ns, size) — a pushdown reads each manifest once per
+    query for pruning, once for task sizing, once for projection
+    resolution, and the driver repeats that per query; at 1e5 groups
+    those re-reads dominate driver time.  The identity key makes the
+    cache crash/rewrite-safe for free: markers only ever change by
     tmp+rename (new mtime/size => miss) or by gc removal (stat raises
     => the caller's existence check already skipped it).  LRU-bounded
     (1024 entries) so a 1e5-group corpus doesn't pin every manifest in
@@ -729,11 +730,34 @@ def lineage_table(out_dir: str, gid: str) -> pa.Table:
     if hit is not None:
         _LIN_CACHE[key] = _LIN_CACHE.pop(key)  # mark most-recent
         return hit
-    t = pq.read_table(path)
-    _LIN_CACHE[key] = t
+    entry = {"table": pq.read_table(path)}
+    _LIN_CACHE[key] = entry
     while len(_LIN_CACHE) > _LIN_CACHE_CAP:
         _LIN_CACHE.pop(next(iter(_LIN_CACHE)))
-    return t
+    return entry
+
+
+def lineage_table(out_dir: str, gid: str) -> pa.Table:
+    """One group's lineage marker (cached: ``_lineage_entry``)."""
+    return _lineage_entry(out_dir, gid)["table"]
+
+
+def _ref_targets(out_dir: str, gid: str) -> dict:
+    """{plan column index: sibling columns its lengths ref to} over
+    every chunk of group ``gid`` (stages/encode.py
+    _lengths_ref_hints).  Per-chunk fallback means refs can differ
+    across chunks, so this parses every row's ``codecs_json`` — once
+    per marker, memoized beside its cached table."""
+    entry = _lineage_entry(out_dir, gid)
+    if "refs" not in entry:
+        refs: dict = {}
+        for cj in entry["table"]["codecs_json"].to_pylist():
+            for i, e in enumerate(json.loads(cj)):
+                lc = e.get("lengths", "")
+                if isinstance(lc, str) and lc.startswith("ref:"):
+                    refs.setdefault(i, set()).add(lc[4:])
+        entry["refs"] = refs
+    return entry["refs"]
 
 
 def _meta_root(out_dir: str) -> str:
@@ -1197,18 +1221,41 @@ def _decode_scoped(out_dir: str, snapshot: Optional[str], verify_checksum,
         return pa.concat_tables([t if sel is None else t.select(sel)
                                  for t in ts] or [empty])
 
-    return chunk_plan.scan_chunks(out_dir, plan, chunks, columns, fold,
-                                  verify_checksum)
+    parts = chunk_plan.scan_chunks(out_dir, plan, chunks, columns, fold,
+                                   verify_checksum)
+    # a driver-run scan: one block per would-be task, in plan order
+    return rd.from_arrow(parts or [empty]) if isinstance(parts, list) \
+        else parts
 
 
 _CHUNK_FILTER_CAP = 20_000
+# One decode task's working set, in tokens: a decode+digest call
+# allocates several uint64 temporaries over every token it holds.  It
+# caps the chunks a Ray task bundles, and a read that fits it whole
+# runs in the driver instead of as a Ray Data job (``map_encoded``).
+DECODE_TASK_TOKENS = 4_000_000
+
+
+@dataclass(frozen=True)
+class EncodedRead:
+    """What a scan reads, whichever executor runs it: the parquet
+    ``files`` of each projection (``columns`` None: every column), the
+    ``chunk_id`` filter, chunks per task ``cpt``, the Ray read's
+    ``nblocks``, and the ``tokens`` it covers (a chunk counts at least
+    one token per row, so a scalar-only corpus is not free)."""
+
+    reads: list  # [(files, columns)]
+    filter: Optional[pc.Expression]
+    cpt: int
+    nblocks: int
+    tokens: int
 
 
 def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
                   groups: Optional[Sequence[str]] = None,
-                  chunk_ids: Optional[set] = None):
-    """Committed-group encoded chunk rows as a Dataset, plus the
-    lineage-derived chunks-per-task sizing, for the chunk planner's
+                  chunk_ids: Optional[set] = None) -> EncodedRead:
+    """The ``EncodedRead`` of committed-group encoded chunk rows, with
+    the lineage-derived chunks-per-task sizing, for the chunk planner's
     scan (every corpus read) and delete_where.
 
     ``groups`` names the exact COMMITTED group ids to read instead of
@@ -1217,7 +1264,7 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
     rewrite superseded (still on disk, shadowed).  Ids whose lineage
     marker is gone are skipped.  ``chunk_ids`` restricts the read to
     those chunks' parquet row groups."""
-    import ray.data as rd
+    from ..util import default_concurrency
 
     lin_root = os.path.join(out_dir, "_lineage")
     group_files: dict = {}
@@ -1233,105 +1280,120 @@ def _read_encoded(out_dir: str, columns: Optional[Sequence[str]] = None,
         # lineage marker exists only to carry the supersedes shadow;
         # there is nothing to read, and the projection probe must not
         # index into its empty manifest
-    files = [f for fs in group_files.values() for f in fs]
-    if not files:
-        if active_groups(out_dir):
-            # every group pruned away — or vacuumed to zero rows: a
-            # valid empty result, not an error
-            return rd.from_items([]), 1
+    if not group_files and not active_groups(out_dir):
         raise FileNotFoundError(f"no committed encode groups under {out_dir}")
-    # Size chunks-per-task from the lineage chunk count: keep every
-    # core busy (4 task waves per core) but never one task per chunk
-    # when chunks vastly outnumber cores (millions of tiny tasks at
-    # corpus scale = scheduler-bound decode).  Blocks are split to that
-    # granularity at the READ: Ray fuses read -> decode -> downstream
-    # into one task chain, so decode parallelism equals read-block
-    # count, not chunk count.
-    from ..util import default_concurrency
-
-    n_chunks = 0
-    total_tokens = 0
-    for gid in group_files:
-        lin = lineage_table(out_dir, gid)  # manifest-sized, cached
-        n_chunks += lin.num_rows
-        total_tokens += int(pc.sum(lin["n_tokens"]).as_py() or 0)
-    cpt = min(8, max(1, n_chunks // (4 * default_concurrency())))
-    # cap by tokens-per-task, not just chunk count: a decode+digest
-    # call allocates several uint64 temporaries over every token in
-    # the call, so task working set is proportional to tokens bundled.
-    # 8 chunks was tuned at sf0.1 (~1.7M-token chunks); at 10x scale
-    # the same cpt bundles ~16M tokens (~0.5 GB of temporaries) and
-    # concurrent tasks thrash memory: measured 185s -> 37s wall at m10
-    # by capping to ~one flagship chunk per task (BASELINE.md r4).
-    if n_chunks:
-        avg_tok = max(1, total_tokens // n_chunks)
-        cpt = max(1, min(cpt, int(4_000_000 // avg_tok) or 1))
-    nblocks = max(len(files), (n_chunks + cpt - 1) // cpt)
     # chunk-level IO pruning: payloads live one chunk per parquet row
     # group, so an isin(chunk_id) filter makes point lookups / top-k /
     # sketch fallbacks read bytes proportional to CANDIDATES, not to
     # the surviving groups.  Capped — a huge isin list costs more to
-    # evaluate per row group than the reads it saves.  A filtered read
-    # is split by its candidate count, not the groups' chunk count: a
-    # split past the rows a file yields leaves empty blocks.
-    flt = None
+    # evaluate per row group than the reads it saves.
+    ids = None
     if chunk_ids is not None and 0 < len(chunk_ids) <= _CHUNK_FILTER_CAP:
-        flt = pc.field("chunk_id").isin(sorted(chunk_ids))
-        nblocks = max(len(files), (len(chunk_ids) + cpt - 1) // cpt)
-    fkw = {"filter": flt} if flt is not None else {}
-    if columns is None:
-        enc = rd.read_parquet(files, override_num_blocks=nblocks, **fkw)
-    else:
-        # Resolve requested names -> colN parquet indices PER GROUP:
-        # groups encoded from different inputs may order or select
-        # columns differently, so the first group's plan cannot speak
-        # for the rest.  Groups sharing a projection list are read
-        # together; differing plans get their own read, unioned.
-        def _proj(gid: str) -> tuple:
-            lt = lineage_table(out_dir, gid)
-            plan = json.loads(lt["plan_json"][0].as_py())
-            missing = set(columns) - set(plan)
-            if missing:
-                raise KeyError(
-                    f"columns not in encoded plan of group {gid}: {sorted(missing)}"
-                )
-            # A projected list column may carry its lengths as a ref to
-            # a sibling column (stages/encode.py _lengths_ref_hints);
-            # that sibling's payload must ride along PHYSICALLY even
-            # when it isn't in the logical projection.  Per-chunk
-            # fallback means refs can differ across chunks of a group,
-            # so union the targets over every lineage row (manifest-
-            # sized scan, no data read).
-            phys = set(columns)
-            pos = {name: i for i, name in enumerate(plan)}
-            want_idx = {pos[c] for c in columns}
-            for cj in lt["codecs_json"].to_pylist():
-                for i, entry in enumerate(json.loads(cj)):
-                    if i in want_idx:
-                        lc = entry.get("lengths", "")
-                        if isinstance(lc, str) and lc.startswith("ref:"):
-                            phys.add(lc[4:])
-            return tuple(
-                ["fragment", "chunk_id", "n_rows", "checksum", "plan_json"]
-                + [
-                    c
-                    for i, name in enumerate(plan)
-                    if name in phys
-                    for c in (f"col{i}_payload", f"col{i}_meta")
-                ]
+        ids = pa.array(sorted(chunk_ids), pa.string())
+    # Size chunks-per-task from the lineage chunk count: keep every
+    # core busy (4 task waves per core) but never one task per chunk
+    # when chunks vastly outnumber cores (millions of tiny tasks at
+    # corpus scale = scheduler-bound decode).  Blocks are split to that
+    # granularity at the read, and each map_batches call takes cpt
+    # chunk rows; Ray does not fuse the read into the decode task (the
+    # logged plan shows ReadParquet and MapBatches as two operators).
+    n_chunks = total_tokens = tokens = 0
+    for gid in group_files:
+        lin = lineage_table(out_dir, gid)  # manifest-sized, cached
+        n_chunks += lin.num_rows
+        total_tokens += int(pc.sum(lin["n_tokens"]).as_py() or 0)
+        hit = lin if ids is None else lin.filter(
+            pc.is_in(lin["chunk_id"], value_set=ids))
+        tokens += int(pc.sum(pc.max_element_wise(
+            hit["n_tokens"], hit["n_rows"])).as_py() or 0)
+    cpt = min(8, max(1, n_chunks // (4 * default_concurrency())))
+    # cap by tokens-per-task, not just chunk count: the task working
+    # set is proportional to tokens bundled.  8 chunks was tuned at
+    # sf0.1 (~1.7M-token chunks); at 10x scale the same cpt bundles
+    # ~16M tokens (~0.5 GB of temporaries) and concurrent tasks thrash
+    # memory: measured 185s -> 37s wall at m10 by capping to ~one
+    # flagship chunk per task (BASELINE.md r4).
+    if n_chunks:
+        avg_tok = max(1, total_tokens // n_chunks)
+        cpt = max(1, min(cpt, int(DECODE_TASK_TOKENS // avg_tok) or 1))
+    n_files = sum(len(fs) for fs in group_files.values())
+    # A filtered read is split by its candidate count, not the groups'
+    # chunk count: a split past the rows a file yields leaves empty
+    # blocks.
+    nblocks = max(n_files, ((n_chunks if ids is None else len(ids))
+                            + cpt - 1) // cpt)
+    # Resolve requested names -> colN parquet indices PER GROUP: groups
+    # encoded from different inputs may order or select columns
+    # differently, so the first group's plan cannot speak for the rest.
+    # Groups sharing a projection list are read together.
+    def _proj(gid: str):
+        if columns is None:
+            return None
+        lt = lineage_table(out_dir, gid)
+        plan = json.loads(lt["plan_json"][0].as_py())
+        missing = set(columns) - set(plan)
+        if missing:
+            raise KeyError(
+                f"columns not in encoded plan of group {gid}: {sorted(missing)}"
             )
+        # A projected list column may carry its lengths as a ref to a
+        # sibling column; that sibling's payload must ride along
+        # PHYSICALLY even when it isn't in the logical projection.
+        refs = _ref_targets(out_dir, gid)
+        phys = set(columns).union(*(refs.get(plan.index(c), ())
+                                    for c in columns))
+        return tuple(
+            ["fragment", "chunk_id", "n_rows", "checksum", "plan_json"]
+            + [c for i, name in enumerate(plan) if name in phys
+               for c in (f"col{i}_payload", f"col{i}_meta")]
+        )
 
-        by_proj: dict = {}
-        for gid, fs in group_files.items():
-            by_proj.setdefault(_proj(gid), []).extend(fs)
-        reads = [
-            rd.read_parquet(fs, columns=list(proj),
-                            override_num_blocks=max(1, nblocks * len(fs) // len(files)),
-                            **fkw)
-            for proj, fs in by_proj.items()
-        ]
-        enc = reads[0] if len(reads) == 1 else reads[0].union(*reads[1:])
-    return enc, cpt
+    by_proj: dict = {}
+    for gid, fs in group_files.items():
+        by_proj.setdefault(_proj(gid), []).extend(fs)
+    return EncodedRead(
+        [(fs, None if proj is None else list(proj))
+         for proj, fs in by_proj.items()],
+        None if ids is None else pc.field("chunk_id").isin(ids),
+        cpt, nblocks, tokens)
+
+
+def map_encoded(read: EncodedRead, part: Callable):
+    """``part`` over slices of ``read`` of at most ``read.cpt`` chunk
+    rows.  A read that fits one decode task's token budget runs in the
+    driver and returns the list of partials, in read order; a larger
+    one is the lazy Dataset of a Ray Data job.  Both executors read
+    the same files, columns and row groups."""
+    if read.tokens <= DECODE_TASK_TOKENS:
+        return _map_in_driver(read, part)
+    return _map_on_ray(read, part)
+
+
+def _map_in_driver(read: EncodedRead, part: Callable) -> list:
+    out = []
+    for files, cols in read.reads:
+        for f in files:  # one file at a time: schemas may differ
+            t = pq.read_table(f, columns=cols, filters=read.filter)
+            out += [part(t.slice(o, read.cpt))
+                    for o in range(0, t.num_rows, read.cpt)]
+    return out
+
+
+def _map_on_ray(read: EncodedRead, part: Callable):
+    import ray.data as rd
+
+    from ..util import default_concurrency
+
+    fkw = {"filter": read.filter} if read.filter is not None else {}
+    n_files = sum(len(fs) for fs, _ in read.reads)
+    dss = [rd.read_parquet(
+        fs, columns=cols,
+        override_num_blocks=max(1, read.nblocks * len(fs) // n_files), **fkw)
+        for fs, cols in read.reads]
+    ds = dss[0] if len(dss) == 1 else dss[0].union(*dss[1:])
+    return ds.map_batches(part, batch_format="pyarrow",
+                          batch_size=read.cpt, zero_copy_batch=True,
+                          concurrency=default_concurrency())
 
 
 def decode_digest_corpus(out_dir: str, columns: Sequence[str],
@@ -1350,15 +1412,17 @@ def decode_digest_corpus(out_dir: str, columns: Sequence[str],
     empty = _typed_empty(out_dir, cols)
     plan = chunk_plan.ChunkPlan([], *_scope(out_dir, None))
 
-    def fold(ts) -> dict:
-        return batch_digest(pa.concat_tables(list(ts) or [empty]), cols)
+    def fold(ts) -> pa.Table:
+        return pa.table(batch_digest(pa.concat_tables(list(ts) or [empty]),
+                                     cols))
 
     s, x, n = 0, 0, 0
-    for d in chunk_plan.scan_chunks(out_dir, plan, None, None, fold,
-                                    verify_checksum).take_all():
-        s = (s + (d["h_sum"] & 0xFFFFFFFFFFFFFFFF)) % (1 << 64)
-        x ^= d["h_xor"] & 0xFFFFFFFFFFFFFFFF
-        n += d["n"]
+    for part in chunk_plan.partials(chunk_plan.scan_chunks(
+            out_dir, plan, None, None, fold, verify_checksum)):
+        for d in part.to_pylist():
+            s = (s + (d["h_sum"] & 0xFFFFFFFFFFFFFFFF)) % (1 << 64)
+            x ^= d["h_xor"] & 0xFFFFFFFFFFFFFFFF
+            n += d["n"]
     return s, x, n
 
 

@@ -31,7 +31,8 @@ def run_pushdown(out_dir: str, *, meta: Callable, columns: Sequence[str],
                  predicate=None, snapshot: Optional[str] = None) -> tuple:
     """Run one pushdown: plan, answer from metadata, scan what is left
     once, and merge every partial into the accumulator as it streams
-    in.  When nothing is left to scan no Ray job starts.
+    in.  When nothing is left to scan, or the scan fits one decode
+    task's token budget, no Ray job starts.
 
     - ``meta(plan) -> (accumulator, chunks to scan)`` is the driver's
       metadata answer;
@@ -47,10 +48,8 @@ def run_pushdown(out_dir: str, *, meta: Callable, columns: Sequence[str],
         def typed_fold(ts) -> pa.Table:
             return fold(ts).cast(schema)
 
-        parts = chunk_plan.scan_chunks(out_dir, plan, scan, columns,
-                                       typed_fold)
-        for part in parts.iter_batches(batch_format="pyarrow",
-                                       batch_size=None):
+        for part in chunk_plan.partials(chunk_plan.scan_chunks(
+                out_dir, plan, scan, columns, typed_fold)):
             if part.num_rows:  # the empty partial is the identity
                 acc = merge(acc, part)
     return acc, plan, scan

@@ -970,15 +970,19 @@ def test_chunk_planner_closed_form(tmp_path, ray_session, monkeypatch):
     assert sorted(c.n_live for c in plan.proven)[:2] == [63, 64]
 
 
+@pytest.mark.parametrize("executor", ["ray", "driver"])
 def test_pushdowns_scan_once_through_one_consumer(tmp_path, ray_session,
-                                                  monkeypatch):
+                                                  monkeypatch, executor):
     """Every pushdown plans, scans at most once and consumes that scan
     through one streaming read: with every other Dataset consumer
     patched to raise (no ``sum``'s aggregate plan, no schema probe, no
     ``materialize`` + ``count``, no distributed ``groupby``), all ten
-    still answer like a pyarrow oracle over the live rows.  The corpus
-    has proven chunks, maybe chunks, mixed-group chunks and partial
-    delete masks, so metadata answers and scan partials both merge."""
+    still answer like a pyarrow oracle over the live rows.  With the
+    decode task budget at 0 every scan is a Ray job read through one
+    ``iter_batches``; at the default this small corpus scans in the
+    driver, and no Dataset method is called at all.  The corpus has
+    proven chunks, maybe chunks, mixed-group chunks and partial delete
+    masks, so metadata answers and scan partials both merge."""
     import ray.data as rd
 
     from colonnade_ray.pipelines import (
@@ -988,6 +992,7 @@ def test_pushdowns_scan_once_through_one_consumer(tmp_path, ray_session,
         chunk_plan,
         count_where,
         delete_where,
+        encode_pipeline,
         group_aggregates,
         group_counts,
         grouped_approx_quantiles,
@@ -1043,16 +1048,25 @@ def test_pushdowns_scan_once_through_one_consumer(tmp_path, ray_session,
         consumed.clear()
         res = fn(*a, **k)
         assert len(scans) <= 1, fn.__name__
-        assert [id(d) for d in consumed] == [id(d) for d in scans], \
-            fn.__name__
+        if executor == "ray":
+            assert [id(d) for d in consumed] == [id(d) for d in scans], \
+                fn.__name__
+        else:
+            assert all(isinstance(p, list) for p in scans), fn.__name__
         return res
 
     with monkeypatch.context() as mp:
-        for name in ("sum", "min", "max", "aggregate", "take", "take_all",
-                     "take_batch", "count", "materialize", "to_pandas",
-                     "to_arrow_refs", "groupby", "iter_rows", "schema"):
+        if executor == "ray":
+            mp.setattr(encode_pipeline, "DECODE_TASK_TOKENS", 0)
+            refused = ("sum", "min", "max", "aggregate", "take", "take_all",
+                       "take_batch", "count", "materialize", "to_pandas",
+                       "to_arrow_refs", "groupby", "iter_rows", "schema")
+            mp.setattr(rd.Dataset, "iter_batches", iter_batches)
+        else:  # every public Dataset method, iter_batches too
+            refused = [m for m in dir(rd.Dataset) if not m.startswith("_")
+                       and callable(getattr(rd.Dataset, m))]
+        for name in refused:
             mp.setattr(rd.Dataset, name, refuse(name))
-        mp.setattr(rd.Dataset, "iter_batches", iter_batches)
         mp.setattr(chunk_plan, "scan_chunks", scan_chunks)
 
         assert run(count_where, out, band) == len(sub)
@@ -1921,9 +1935,8 @@ def test_grouped_pushdowns_match_pandas_oracle(tmp_path, ray_session,
     delete mask match pandas over the live rows, descending and
     ascending, with tie_cols and a ``columns=`` projection.  Six
     encoded files make the driver merge more than two scan partials."""
-    import ray.data as rd
-
     from colonnade_ray.pipelines import (
+        chunk_plan,
         delete_where,
         group_aggregates,
         group_counts,
@@ -1948,14 +1961,14 @@ def test_grouped_pushdowns_match_pandas_oracle(tmp_path, ray_session,
     live = live[live.v < 48_000]
 
     partials = []
-    real_iter = rd.Dataset.iter_batches
+    real_partials = chunk_plan.partials
 
-    def iter_batches(self, *a, **k):
-        for b in real_iter(self, *a, **k):
+    def counted(parts):
+        for b in real_partials(parts):
             partials.append(len(b))
             yield b
 
-    monkeypatch.setattr(rd.Dataset, "iter_batches", iter_batches)
+    monkeypatch.setattr(chunk_plan, "partials", counted)
 
     def merged(res):
         assert sum(1 for p in partials if p) > 2, partials
